@@ -3,9 +3,10 @@
 Times the exact batch-classification work a month-pair experiment does
 -- TP/FP evaluation over the labeled February test set plus decisions
 for February's unknown files, using January's selected rules -- once on
-the scalar reference path (``fast=False``: per-instance ``classify``
-loops) and once on the columnar fast path (``fast`` auto: interned
-codes, compiled masks, row dedup; see :mod:`repro.core.columnar`).
+the scalar reference path (``evaluate_scalar`` and per-instance
+``classify`` loops) and once on the columnar fast path (``evaluate`` and
+``classify_batch``: interned codes, compiled masks, row dedup; see
+:mod:`repro.core.columnar`).
 
 Both paths must produce identical decisions (asserted here; the full
 property suite lives in ``tests/core/test_columnar.py``); the payoff is
@@ -63,17 +64,16 @@ def test_rule_matching_speedup(session):
     )
     unknown_rows = [vector.values for vector in unknowns.values()]
 
-    scalar = RuleBasedClassifier(selected, ConflictPolicy.REJECT, fast=False)
-    fast = RuleBasedClassifier(selected, ConflictPolicy.REJECT)
+    classifier = RuleBasedClassifier(selected, ConflictPolicy.REJECT)
 
     def run_scalar():
-        evaluation = scalar.evaluate_scalar(test_set.instances)
-        decisions = [scalar.classify(row) for row in unknown_rows]
+        evaluation = classifier.evaluate_scalar(test_set.instances)
+        decisions = [classifier.classify(row) for row in unknown_rows]
         return evaluation, decisions
 
     def run_fast():
-        evaluation = fast.evaluate(test_set.instances)
-        decisions = fast.classify_batch(unknown_rows)
+        evaluation = classifier.evaluate(test_set.instances)
+        decisions = classifier.classify_batch(unknown_rows)
         return evaluation, decisions
 
     scalar_seconds, (scalar_eval, scalar_decisions) = _best_of(run_scalar)

@@ -14,19 +14,19 @@ Module                 Paper content
                        per benign process category)
 ``infection``          Figure 5 (infection timing)
 ``unknowns``           Section VI-A (profile of the unknown mass)
-``common``             Shared scalar iteration/top-N helpers and the
-                       ``fast=`` knob dispatcher
+``common``             Shared CDF and top-N result helpers
 ``frame``              The shared columnar :class:`SessionFrame` every
-                       fast path runs on (built once per session)
+                       analysis runs on (built once per session)
 =====================  ==================================================
 
-Every analysis function accepts ``fast=None|True|False``: ``None``
-auto-selects the vectorized columnar path when numpy is available,
-``False`` forces the scalar reference implementation (the equivalence
-oracle), ``True`` demands the columnar path.
+Each table and figure has one implementation: NumPy group-bys over the
+session's memoized :class:`SessionFrame`.  The event-by-event loops
+they replaced live on only as a test oracle
+(``tests/analysis/scalar_reference.py``), which the equivalence suite
+compares against every output with ``==``.
 """
 
-from .common import cdf_points, labeled_events, resolve_frame, top_n
+from .common import cdf_points, top_n
 from .domains import (
     AlexaRankDistribution,
     DomainPopularity,
@@ -120,12 +120,10 @@ __all__ = [
     "family_distribution",
     "files_per_domain",
     "infection_timing",
-    "labeled_events",
     "malicious_process_behavior",
     "monthly_summary",
     "packer_report",
     "prevalence_report",
-    "resolve_frame",
     "session_frame",
     "shared_signer_scatter",
     "signed_percentages",

@@ -1,86 +1,14 @@
-"""Shared helpers for the measurement analyses.
+"""Shared result helpers for the measurement analyses.
 
-Two kinds of helpers live here:
-
-* scalar iteration/bookkeeping shared by every analysis module's
-  reference implementation (:func:`labeled_events`, :func:`top_n`,
-  :func:`count_by`, ...), so the ten modules stop re-implementing the
-  same label/top-N loops;
-* :func:`resolve_frame`, the single dispatcher behind every analysis
-  function's ``fast=`` knob: it resolves ``None`` (auto) / ``True`` /
-  ``False`` to either the memoized columnar
-  :class:`~repro.analysis.frame.SessionFrame` or ``None`` (scalar
-  path), mirroring :class:`repro.core.classifier.RuleBasedClassifier`.
+:func:`cdf_points` and :func:`top_n` shape grouped counts into the
+paper's CDF series and deterministic top-N lists.  The group-bys that
+produce those counts run on the shared columnar
+:class:`~repro.analysis.frame.SessionFrame`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-from ..labeling.ground_truth import LabeledDataset
-from ..labeling.labels import (
-    Browser,
-    FileLabel,
-    ProcessCategory,
-    browser_from_name,
-    categorize_process_name,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..labeling.whitelists import AlexaService
-    from ..telemetry.events import DownloadEvent
-    from .frame import SessionFrame
-
-
-def resolve_frame(
-    labeled: LabeledDataset,
-    fast: Optional[bool],
-    alexa: Optional["AlexaService"] = None,
-) -> Optional["SessionFrame"]:
-    """Resolve an analysis ``fast=`` knob to a frame or the scalar path.
-
-    ``None`` auto-selects the columnar path when numpy is importable;
-    ``True`` demands it (raises without numpy); ``False`` forces the
-    scalar reference implementation.  The returned frame is the
-    session-memoized one, so the first analysis of a session pays the
-    single build and every later one is a cache hit.
-    """
-    if fast is False:
-        return None
-    from . import frame as frame_mod
-
-    if not frame_mod.HAVE_NUMPY:
-        if fast:
-            raise RuntimeError(
-                "fast=True requires numpy; install it or pass fast=False"
-            )
-        return None
-    return frame_mod.session_frame(labeled, alexa)
-
-
-def labeled_events(
-    labeled: LabeledDataset,
-) -> Iterator[Tuple["DownloadEvent", FileLabel]]:
-    """Each event paired with its downloaded file's label.
-
-    The one iteration helper behind the scalar analysis loops; the
-    modules used to each re-open ``labeled.dataset.events`` and re-do
-    the ``file_labels`` lookup themselves.
-    """
-    file_labels = labeled.file_labels
-    for event in labeled.dataset.events:
-        yield event, file_labels[event.file_sha1]
+from typing import Dict, List, Sequence, Tuple
 
 
 def cdf_points(
@@ -101,107 +29,6 @@ def cdf_points(
     return points
 
 
-def process_category_of(
-    labeled: LabeledDataset, process_sha: str
-) -> ProcessCategory:
-    """Category of a process from its on-disk executable name."""
-    record = labeled.dataset.processes[process_sha]
-    return categorize_process_name(record.executable_name)
-
-
-def browser_of(labeled: LabeledDataset, process_sha: str) -> Optional[Browser]:
-    """Browser family of a process, or ``None`` for non-browsers."""
-    record = labeled.dataset.processes[process_sha]
-    return browser_from_name(record.executable_name)
-
-
-def benign_process_shas(labeled: LabeledDataset) -> Set[str]:
-    """Hashes of *known benign* processes (whitelist-matched).
-
-    Section V-A restricts the process-behaviour measurements to processes
-    labeled benign, so that malware masquerading under a browser's file
-    name does not pollute the per-category statistics.
-    """
-    return {
-        sha
-        for sha, label in labeled.process_labels.items()
-        if label == FileLabel.BENIGN
-    }
-
-
-def files_downloaded_by(
-    labeled: LabeledDataset, process_shas: Iterable[str]
-) -> Dict[FileLabel, Set[str]]:
-    """Distinct files downloaded by a set of processes, split by label.
-
-    Only the confident labels and ``UNKNOWN`` are reported (the paper
-    excludes likely-class files from these tables).
-    """
-    wanted = set(process_shas)
-    result: Dict[FileLabel, Set[str]] = {
-        FileLabel.UNKNOWN: set(),
-        FileLabel.BENIGN: set(),
-        FileLabel.MALICIOUS: set(),
-    }
-    for event, label in labeled_events(labeled):
-        if event.process_sha1 not in wanted:
-            continue
-        if label in result:
-            result[label].add(event.file_sha1)
-    return result
-
-
-def machines_using(
-    labeled: LabeledDataset, process_shas: Iterable[str]
-) -> Set[str]:
-    """Machines on which any of the given processes initiated a download."""
-    wanted = set(process_shas)
-    return {
-        event.machine_id
-        for event in labeled.dataset.events
-        if event.process_sha1 in wanted
-    }
-
-
-def infected_machine_fraction(
-    labeled: LabeledDataset, process_shas: Iterable[str]
-) -> float:
-    """Fraction of the processes' machines that downloaded malware via them."""
-    wanted = set(process_shas)
-    machines: Set[str] = set()
-    infected: Set[str] = set()
-    for event, label in labeled_events(labeled):
-        if event.process_sha1 not in wanted:
-            continue
-        machines.add(event.machine_id)
-        if label == FileLabel.MALICIOUS:
-            infected.add(event.machine_id)
-    return len(infected) / len(machines) if machines else 0.0
-
-
-def first_download_events(labeled: LabeledDataset) -> Dict[str, object]:
-    """``file sha1 -> first reported event`` (dataset is time-sorted)."""
-    first: Dict[str, object] = {}
-    for event in labeled.dataset.events:
-        first.setdefault(event.file_sha1, event)
-    return first
-
-
 def top_n(counter: Dict[str, int], n: int) -> List[Tuple[str, int]]:
     """Top-``n`` (key, count) pairs, ties broken by key for determinism."""
     return sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:n]
-
-
-def top_n_by_size(index: Dict[str, Set[str]], n: int) -> List[Tuple[str, int]]:
-    """Top-``n`` keys of a grouped index by distinct-value count."""
-    return top_n({key: len(values) for key, values in index.items()}, n)
-
-
-def count_by(
-    pairs: Iterable[Tuple[str, str]]
-) -> Dict[str, Set[str]]:
-    """Group distinct values per key: ``(key, value)`` pairs to sets."""
-    grouped: Dict[str, Set[str]] = defaultdict(set)
-    for key, value in pairs:
-        grouped[key].add(value)
-    return dict(grouped)

@@ -8,16 +8,24 @@ downloaded a file from the domain.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel, MalwareType
 from ..labeling.whitelists import AlexaService
-from .common import labeled_events, resolve_frame, top_n, top_n_by_size
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .common import top_n
+from .frame import (
+    FILE_LABEL_CODE,
+    FILE_LABELS,
+    MALWARE_TYPES,
+    code_count_dict,
+    counts_per_code,
+    session_frame,
+    unique_pairs,
+    unique_triples,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,16 +37,9 @@ class DomainPopularity:
     malicious: List[Tuple[str, int]]
 
 
-def _domain_popularity_frame(
-    frame: "SessionFrame", n: int
-) -> DomainPopularity:
-    from .frame import (
-        FILE_LABEL_CODE,
-        code_count_dict,
-        counts_per_code,
-        unique_pairs,
-    )
-
+def domain_popularity(labeled: LabeledDataset, n: int = 10) -> DomainPopularity:
+    """Top-``n`` domains by unique downloading machines (Table III)."""
+    frame = session_frame(labeled)
     labels = frame.event_file_label()
     n_machines = frame.n_machines
     n_domains = frame.n_domains
@@ -59,31 +60,6 @@ def _domain_popularity_frame(
     )
 
 
-def domain_popularity(
-    labeled: LabeledDataset, n: int = 10, fast: Optional[bool] = None
-) -> DomainPopularity:
-    """Top-``n`` domains by unique downloading machines (Table III)."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _domain_popularity_frame(frame, n)
-    machines_overall: Dict[str, Set[str]] = defaultdict(set)
-    machines_benign: Dict[str, Set[str]] = defaultdict(set)
-    machines_malicious: Dict[str, Set[str]] = defaultdict(set)
-    for event, label in labeled_events(labeled):
-        domain = event.e2ld
-        machines_overall[domain].add(event.machine_id)
-        if label == FileLabel.BENIGN:
-            machines_benign[domain].add(event.machine_id)
-        elif label == FileLabel.MALICIOUS:
-            machines_malicious[domain].add(event.machine_id)
-
-    return DomainPopularity(
-        overall=top_n_by_size(machines_overall, n),
-        benign=top_n_by_size(machines_benign, n),
-        malicious=top_n_by_size(machines_malicious, n),
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class FilesPerDomain:
     """Table IV: domains serving the most distinct benign/malicious files."""
@@ -93,15 +69,9 @@ class FilesPerDomain:
     shared_domains: Set[str]
 
 
-def _files_per_domain_frame(frame: "SessionFrame", n: int) -> FilesPerDomain:
-    from .frame import (
-        FILE_LABEL_CODE,
-        code_count_dict,
-        counts_per_code,
-        np,
-        unique_pairs,
-    )
-
+def files_per_domain(labeled: LabeledDataset, n: int = 10) -> FilesPerDomain:
+    """Top-``n`` domains by number of unique files served (Table IV)."""
+    frame = session_frame(labeled)
     labels = frame.event_file_label()
     n_files = frame.n_files
     n_domains = frame.n_domains
@@ -124,32 +94,11 @@ def _files_per_domain_frame(frame: "SessionFrame", n: int) -> FilesPerDomain:
     )
 
 
-def files_per_domain(
-    labeled: LabeledDataset, n: int = 10, fast: Optional[bool] = None
-) -> FilesPerDomain:
-    """Top-``n`` domains by number of unique files served (Table IV)."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _files_per_domain_frame(frame, n)
-    benign_files: Dict[str, Set[str]] = defaultdict(set)
-    malicious_files: Dict[str, Set[str]] = defaultdict(set)
-    for event, label in labeled_events(labeled):
-        if label == FileLabel.BENIGN:
-            benign_files[event.e2ld].add(event.file_sha1)
-        elif label == FileLabel.MALICIOUS:
-            malicious_files[event.e2ld].add(event.file_sha1)
-    return FilesPerDomain(
-        benign=top_n_by_size(benign_files, n),
-        malicious=top_n_by_size(malicious_files, n),
-        shared_domains=set(benign_files) & set(malicious_files),
-    )
-
-
-def _domains_per_type_frame(
-    frame: "SessionFrame", n: int
+def domains_per_type(
+    labeled: LabeledDataset, n: int = 10
 ) -> Dict[MalwareType, List[Tuple[str, int]]]:
-    from .frame import MALWARE_TYPES, counts_per_code, np, unique_triples
-
+    """Table V: per malicious type, domains serving the most files."""
+    frame = session_frame(labeled)
     types = frame.event_file_type()
     typed = types >= 0
     triple_types, triple_domains, _ = unique_triples(
@@ -171,49 +120,14 @@ def _domains_per_type_frame(
     return result
 
 
-def domains_per_type(
-    labeled: LabeledDataset, n: int = 10, fast: Optional[bool] = None
-) -> Dict[MalwareType, List[Tuple[str, int]]]:
-    """Table V: per malicious type, domains serving the most files."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _domains_per_type_frame(frame, n)
-    files_by_type_domain: Dict[MalwareType, Dict[str, Set[str]]] = defaultdict(
-        lambda: defaultdict(set)
-    )
-    for event in labeled.dataset.events:
-        mtype = labeled.type_of(event.file_sha1)
-        if mtype is None:
-            continue
-        files_by_type_domain[mtype][event.e2ld].add(event.file_sha1)
-    return {
-        mtype: top_n_by_size(domains, n)
-        for mtype, domains in files_by_type_domain.items()
-    }
-
-
-def _unknown_download_domains_frame(
-    frame: "SessionFrame", n: int
+def unknown_download_domains(
+    labeled: LabeledDataset, n: int = 10
 ) -> List[Tuple[str, int]]:
-    from .frame import FILE_LABEL_CODE, code_count_dict, counts_per_code
-
+    """Table XIII: top domains by number of unknown-file downloads."""
+    frame = session_frame(labeled)
     mask = frame.event_file_label() == FILE_LABEL_CODE[FileLabel.UNKNOWN]
     counts = counts_per_code(frame.event_domain[mask], frame.n_domains)
     return top_n(code_count_dict(frame.domains, counts), n)
-
-
-def unknown_download_domains(
-    labeled: LabeledDataset, n: int = 10, fast: Optional[bool] = None
-) -> List[Tuple[str, int]]:
-    """Table XIII: top domains by number of unknown-file downloads."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _unknown_download_domains_frame(frame, n)
-    downloads: Counter = Counter()
-    for event, label in labeled_events(labeled):
-        if label == FileLabel.UNKNOWN:
-            downloads[event.e2ld] += 1
-    return top_n(downloads, n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,11 +151,11 @@ class AlexaRankDistribution:
         return cdf_points(self.ranks.get(label, []), grid)
 
 
-def _alexa_rank_distribution_frame(
-    frame: "SessionFrame",
+def alexa_rank_distribution(
+    labeled: LabeledDataset, alexa: AlexaService
 ) -> AlexaRankDistribution:
-    from .frame import FILE_LABELS, np, unique_pairs
-
+    """Ranks of hosting domains per file class (Figures 3 and 6)."""
+    frame = session_frame(labeled, alexa)
     pair_labels, pair_domains = unique_pairs(
         frame.event_file_label(), frame.event_domain, frame.n_domains
     )
@@ -257,28 +171,4 @@ def _alexa_rank_distribution_frame(
         unranked[label] = (
             1.0 - int(found.shape[0]) / total if total else 0.0
         )
-    return AlexaRankDistribution(ranks=ranks, unranked_fraction=unranked)
-
-
-def alexa_rank_distribution(
-    labeled: LabeledDataset,
-    alexa: AlexaService,
-    fast: Optional[bool] = None,
-) -> AlexaRankDistribution:
-    """Ranks of hosting domains per file class (Figures 3 and 6)."""
-    frame = resolve_frame(labeled, fast, alexa)
-    if frame is not None:
-        return _alexa_rank_distribution_frame(frame)
-    domains_by_label: Dict[FileLabel, Set[str]] = defaultdict(set)
-    for event, label in labeled_events(labeled):
-        domains_by_label[label].add(event.e2ld)
-    ranks: Dict[FileLabel, List[int]] = {}
-    unranked: Dict[FileLabel, float] = {}
-    for label, domains in domains_by_label.items():
-        found = [
-            alexa.rank(domain) for domain in domains
-            if alexa.rank(domain) is not None
-        ]
-        ranks[label] = sorted(found)  # type: ignore[arg-type]
-        unranked[label] = 1.0 - len(found) / len(domains) if domains else 0.0
     return AlexaRankDistribution(ranks=ranks, unranked_fraction=unranked)

@@ -8,15 +8,13 @@ extractor; both are already materialized on the
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import MalwareType
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .frame import FAMILY_NONE, MALWARE_TYPE_CODE, counts_per_code, session_frame
 
 #: Table II's one-line descriptions, kept for the table renderer.
 TYPE_DESCRIPTIONS: Dict[MalwareType, str] = {
@@ -67,11 +65,11 @@ class FamilyDistribution:
         return self.unlabeled_samples / total if total else 0.0
 
 
-def _family_distribution_frame(
-    frame: "SessionFrame", top: int
+def family_distribution(
+    labeled: LabeledDataset, top: int = 25
 ) -> FamilyDistribution:
-    from .frame import FAMILY_NONE, counts_per_code, np
-
+    """Figure 1: top families among malicious files by sample count."""
+    frame = session_frame(labeled)
     column = frame.file_family
     counts = counts_per_code(
         column[column >= 0], len(frame.families)
@@ -89,30 +87,6 @@ def _family_distribution_frame(
     )
 
 
-def family_distribution(
-    labeled: LabeledDataset, top: int = 25, fast: Optional[bool] = None
-) -> FamilyDistribution:
-    """Figure 1: top families among malicious files by sample count."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _family_distribution_frame(frame, top)
-    counter: Counter = Counter()
-    unlabeled = 0
-    for family in labeled.file_families.values():
-        if family is None:
-            unlabeled += 1
-        else:
-            counter[family] += 1
-    return FamilyDistribution(
-        top_families=sorted(
-            counter.items(), key=lambda item: (-item[1], item[0])
-        )[:top],
-        total_families=len(counter),
-        labeled_samples=sum(counter.values()),
-        unlabeled_samples=unlabeled,
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class TypeBreakdownRow:
     """One row of Table II."""
@@ -123,10 +97,9 @@ class TypeBreakdownRow:
     description: str
 
 
-def _type_breakdown_frame(frame: "SessionFrame") -> List[TypeBreakdownRow]:
-    from .frame import MALWARE_TYPE_CODE, np
-
-    column = frame.file_type
+def type_breakdown(labeled: LabeledDataset) -> List[TypeBreakdownRow]:
+    """Table II: malicious downloaded files per behavior type."""
+    column = session_frame(labeled).file_type
     counts = np.bincount(
         column[column >= 0], minlength=len(MalwareType)
     )
@@ -140,30 +113,6 @@ def _type_breakdown_frame(frame: "SessionFrame") -> List[TypeBreakdownRow]:
                 if total
                 else 0.0
             ),
-            description=TYPE_DESCRIPTIONS[mtype],
-        )
-        for mtype in MalwareType
-    ]
-    rows.sort(key=lambda row: -row.count)
-    return rows
-
-
-def type_breakdown(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> List[TypeBreakdownRow]:
-    """Table II: malicious downloaded files per behavior type."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _type_breakdown_frame(frame)
-    counter: Counter = Counter(
-        extraction.mtype for extraction in labeled.file_types.values()
-    )
-    total = sum(counter.values())
-    rows = [
-        TypeBreakdownRow(
-            mtype=mtype,
-            count=counter[mtype],
-            pct=100.0 * counter[mtype] / total if total else 0.0,
             description=TYPE_DESCRIPTIONS[mtype],
         )
         for mtype in MalwareType

@@ -1,11 +1,11 @@
 """The shared columnar session frame powering every table/figure analysis.
 
 The paper's evaluation is ~30 tables and figures over 3M download
-events; the scalar analysis modules each re-walk
-``labeled.dataset.events`` as Python objects, which caps the scale the
-full reproduction can reach on one box.  This module generalizes the
-columnar bet of :mod:`repro.core.columnar` (which interned the eight
-Table XV rule features) to the *whole* analysis layer:
+events; re-walking ``labeled.dataset.events`` as Python objects once
+per table would cap the scale the full reproduction can reach on one
+box.  This module generalizes the columnar bet of
+:mod:`repro.core.columnar` (which interned the eight Table XV rule
+features) to the *whole* analysis layer:
 
 * a :class:`Vocabulary` interns every categorical identifier -- file /
   machine / process / URL hashes, effective 2LDs, signers, packers,
@@ -18,32 +18,32 @@ Table XV rule features) to the *whole* analysis layer:
   domain Alexa rank and rank bucket), so every analysis becomes a
   handful of NumPy group-bys and bincounts;
 * construction is **single-pass and chunked**: events are ingested
-  ``chunk_rows`` at a time -- either from the in-memory dataset or
-  streamed straight off a dataset store's parts via
-  :func:`repro.telemetry.store.iter_events` -- so peak incremental RSS
-  is bounded by the chunk size plus the (fixed-width) code columns,
-  never by a second materialization of the event objects;
+  ``chunk_rows`` at a time from the in-memory dataset, so the build's
+  working set beyond the (fixed-width) code columns is bounded by the
+  chunk size;
 * frames are **memoized by labeled-dataset content digest**
   (:func:`session_frame`): the ~30 analyses of a full report share one
   build.  The ``analysis.frame_build`` span/counter and the
   ``analysis.frame_hits`` counter make the "built exactly once per
   session" property observable (and CI-checkable).
 
-The scalar analysis implementations remain the reference semantics;
+Every analysis output has this one implementation.  The scalar loops it
+replaced survive only as the test oracle in
+``tests/analysis/scalar_reference.py``;
 ``tests/analysis/test_frame_equivalence.py`` proves output-for-output
-equality for every analysis module, and each public analysis function
-exposes a ``fast=`` knob (None = auto) mirroring
-:class:`repro.core.classifier.RuleBasedClassifier`.
+equality against it.
 
 Timestamps stay ``float64`` (int64-wide): the day-based event clock is
 fractional, and the Figure 5 fidelity targets require bit-exact deltas
-against the scalar path.
+against the scalar reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..labeling.labels import (
     Browser,
@@ -59,19 +59,9 @@ from ..obs import trace
 from ..telemetry.events import MONTH_STARTS, domain_of_url, effective_2ld
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from ..labeling.ground_truth import LabeledDataset
     from ..labeling.whitelists import AlexaService
     from ..telemetry.events import DownloadEvent, FileRecord, ProcessRecord
-
-try:  # numpy is a de-facto hard dependency, but the scalar analysis
-    # paths keep working without it (fast=None then resolves to scalar).
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 #: Default ingestion chunk: ~64k events of int codes is a few MB.
 DEFAULT_CHUNK_ROWS = 65_536
@@ -218,8 +208,6 @@ class SessionFrame:
     event_alexa_bucket: Optional["np.ndarray"] = None  # int8 -> ALEXA_BINS
     alexa_digest: Optional[str] = None
 
-    #: Provenance: ``"labeled"`` (in-memory events) or ``"store"``.
-    source: str = "labeled"
     chunk_rows: int = DEFAULT_CHUNK_ROWS
 
     # ------------------------------------------------------------------
@@ -326,7 +314,7 @@ class SessionFrame:
         total = 0
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if np is not None and isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 total += value.nbytes
         return total
 
@@ -342,18 +330,6 @@ class SessionFrame:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-
-
-def _chunks(events: Iterable["DownloadEvent"],
-            chunk_rows: int) -> Iterator[List["DownloadEvent"]]:
-    chunk: List["DownloadEvent"] = []
-    for event in events:
-        chunk.append(event)
-        if len(chunk) >= chunk_rows:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 class _FrameBuilder:
@@ -426,10 +402,9 @@ class _FrameBuilder:
         file_types: Dict[str, object],
         process_types: Dict[str, object],
         file_families: Dict[str, Optional[str]],
-        source: str,
     ) -> SessionFrame:
-        # Cover table-only hashes (in sorted order, so in-memory and
-        # store-streamed builds assign identical codes).
+        # Cover table-only hashes, in sorted order so their codes do not
+        # depend on the tables' insertion order.
         for sha in sorted(file_table):
             self.files.intern(sha)
         for sha in sorted(process_table):
@@ -553,7 +528,6 @@ class _FrameBuilder:
             process_name=process_name,
             url_label=url_label,
             url_domain=url_domain,
-            source=source,
             chunk_rows=self.chunk_rows,
         )
 
@@ -563,57 +537,29 @@ def build_frame(
     alexa: Optional["AlexaService"] = None,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    store_dir: Optional[Union[str, "Path"]] = None,
-    strict: bool = True,
 ) -> SessionFrame:
     """Build a :class:`SessionFrame` in one chunked pass over the events.
 
-    With ``store_dir`` the event stream comes straight off the dataset
-    store's parts (:func:`repro.telemetry.store.iter_events`) and the
-    metadata tables off its ``files``/``processes`` parts, so the event
-    objects are never all resident at once; otherwise the in-memory
-    ``labeled.dataset`` is ingested chunk by chunk.  Both paths produce
-    byte-identical frames for the same underlying dataset (the store
-    preserves event order, and table-only hashes are interned in sorted
-    order).
-
+    ``labeled.dataset`` is ingested ``chunk_rows`` events at a time.
     ``alexa`` attaches the per-domain rank side table (Figures 3/6 and
     the ``alexa_bin`` rule feature); it can also be attached later via
     :meth:`SessionFrame.attach_alexa`.
     """
-    if np is None:
-        raise RuntimeError("SessionFrame requires numpy")
     if chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     builder = _FrameBuilder(chunk_rows)
-    if store_dir is not None:
-        from ..telemetry import store as telemetry_store
-
-        events: Iterable["DownloadEvent"] = telemetry_store.iter_events(
-            store_dir, strict=strict
-        )
-        file_table = telemetry_store.read_files(store_dir, strict=strict)
-        process_table = telemetry_store.read_processes(
-            store_dir, strict=strict
-        )
-        source = "store"
-    else:
-        events = labeled.dataset.events
-        file_table = dict(labeled.dataset.files)
-        process_table = dict(labeled.dataset.processes)
-        source = "labeled"
-    for chunk in _chunks(events, chunk_rows):
-        builder.ingest(chunk)
+    events = labeled.dataset.events
+    for start in range(0, len(events), chunk_rows):
+        builder.ingest(events[start:start + chunk_rows])
     frame = builder.finish(
-        file_table=file_table,
-        process_table=process_table,
+        file_table=dict(labeled.dataset.files),
+        process_table=dict(labeled.dataset.processes),
         file_labels=labeled.file_labels,
         process_labels=labeled.process_labels,
         url_labels=labeled.url_labels,
         file_types=labeled.file_types,
         process_types=labeled.process_types,
         file_families=labeled.file_families,
-        source=source,
     )
     if alexa is not None:
         frame.attach_alexa(alexa)
@@ -642,8 +588,6 @@ def session_frame(
     rank lookup per distinct domain, no event rescan) when a caller
     needs them.
     """
-    if np is None:
-        raise RuntimeError("SessionFrame requires numpy")
     key = labeled.content_digest()
     frame = _FRAME_CACHE.get(key)
     if frame is not None:
@@ -679,7 +623,7 @@ def clear_frame_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Group-by helpers shared by the fast analysis paths
+# Group-by helpers shared by the analyses
 # ----------------------------------------------------------------------
 
 

@@ -11,14 +11,14 @@ control group).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FIG5_EXCLUDED_TYPES, FileLabel, MalwareType
-from .common import cdf_points, resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .common import cdf_points
+from .frame import FILE_LABEL_CODE, MALWARE_TYPE_CODE, session_frame
 
 #: The Figure 5 source classes.
 SOURCES = ("benign", "adware", "pup", "dropper")
@@ -46,49 +46,32 @@ class InfectionTimingReport:
         return sum(1 for value in values if value <= days) / len(values)
 
 
-def _source_of(labeled: LabeledDataset, sha1: str) -> Optional[str]:
-    label = labeled.file_labels[sha1]
-    if label == FileLabel.BENIGN:
-        return "benign"
-    mtype = labeled.type_of(sha1)
-    if mtype == MalwareType.ADWARE:
-        return "adware"
-    if mtype == MalwareType.PUP:
-        return "pup"
-    if mtype == MalwareType.DROPPER:
-        return "dropper"
-    return None
-
-
-def _is_other_malware(labeled: LabeledDataset, sha1: str) -> bool:
-    mtype = labeled.type_of(sha1)
-    return mtype is not None and mtype not in FIG5_EXCLUDED_TYPES
-
-
-def _infection_timing_frame(
-    frame: "SessionFrame", grid: Sequence[float]
+def infection_timing(
+    labeled: LabeledDataset, grid: Sequence[float] = DEFAULT_GRID
 ) -> InfectionTimingReport:
-    """Vectorized Figure 5: one stable sort, then per-source searchsorted.
+    """Compute the Figure 5 time-delta distributions.
 
-    The scalar walk visits each machine's timeline once; per source it
-    uses the *first* source download (registration) and resolves it at
-    the first other-malware event *strictly after* it (the scalar loop
-    checks other-malware before registering, so a same-event source never
-    self-resolves).  Benign registrations preceded by any malicious
-    download are dropped (the paper's control-group condition).  All of
-    that maps onto positions in a machine-grouped ordering:
+    For each machine and each source class, uses the machine's *first*
+    download of that class and the first "other malware" download
+    *strictly after* it, so a dropper download, which is both, never
+    resolves its own registration.  Machines that never follow up
+    contribute nothing (the figure plots the CDF over infected
+    machines), and benign registrations preceded by any malicious
+    download are dropped (the paper's control-group condition).
+
+    Vectorized as one stable sort, then per-source searchsorted over
+    positions in a machine-grouped ordering:
 
     * stable-argsort events by machine code -- machine codes are assigned
-      in first-appearance order, so segments appear in the same order the
-      scalar path iterates ``events_by_machine``, and within a segment
-      events keep their global (time-sorted) order;
+      in first-appearance order, so each source's deltas list machines
+      in the order they first appear, and within a segment events keep
+      their global (time-sorted) order;
     * registration = first in-segment position with the source's code;
     * resolution = first other-malware position ``> registration`` still
       inside the segment (``searchsorted`` on the sorted positions);
     * benign control = no malicious position ``< registration``.
     """
-    from .frame import FILE_LABEL_CODE, MALWARE_TYPE_CODE, np
-
+    frame = session_frame(labeled)
     deltas: Dict[str, List[float]] = {source: [] for source in SOURCES}
     n = frame.n_events
     if n == 0:
@@ -98,7 +81,8 @@ def _infection_timing_frame(
     types = frame.event_file_type()
 
     # Per-event source class (-1 = not a source).  Type rules first,
-    # then the benign label overrides, mirroring ``_source_of``.
+    # then the benign label overrides: a benign file is a benign source
+    # whatever its type.
     source_codes = np.full(n, -1, dtype=np.int8)
     source_codes[types == MALWARE_TYPE_CODE[MalwareType.ADWARE]] = SOURCES.index("adware")
     source_codes[types == MALWARE_TYPE_CODE[MalwareType.PUP]] = SOURCES.index("pup")
@@ -154,46 +138,4 @@ def _infection_timing_frame(
         selected = np.nonzero(resolved)[0]
         gaps = timestamps[resolution[selected]] - timestamps[registration[selected]]
         deltas[source] = [float(gap) for gap in gaps]
-    return InfectionTimingReport(deltas=deltas, grid=grid)
-
-
-def infection_timing(
-    labeled: LabeledDataset,
-    grid: Sequence[float] = DEFAULT_GRID,
-    fast: Optional[bool] = None,
-) -> InfectionTimingReport:
-    """Compute the Figure 5 time-delta distributions.
-
-    For each machine and each source class, uses the machine's *first*
-    download of that class and the first subsequent "other malware"
-    download.  Machines that never follow up contribute nothing (the
-    figure plots the CDF over infected machines).
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _infection_timing_frame(frame, grid)
-    deltas: Dict[str, List[float]] = {source: [] for source in SOURCES}
-    for machine_events in labeled.dataset.events_by_machine.values():
-        first_source: Dict[str, float] = {}
-        had_malicious_before: Dict[str, bool] = {}
-        resolved: Dict[str, bool] = {source: False for source in SOURCES}
-        seen_malicious = False
-        for event in machine_events:
-            sha1 = event.file_sha1
-            if _is_other_malware(labeled, sha1):
-                for source, start in first_source.items():
-                    if resolved[source]:
-                        continue
-                    if source == "benign" and had_malicious_before[source]:
-                        resolved[source] = True
-                        continue
-                    deltas[source].append(event.timestamp - start)
-                    resolved[source] = True
-            source = _source_of(labeled, sha1)
-            if source is not None and source not in first_source:
-                first_source[source] = event.timestamp
-                had_malicious_before[source] = seen_malicious
-            if labeled.file_labels[sha1] == FileLabel.MALICIOUS:
-                seen_malicious = True
-        del resolved
     return InfectionTimingReport(deltas=deltas, grid=grid)

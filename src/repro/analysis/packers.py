@@ -9,15 +9,13 @@ discriminating signal.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel, MalwareType
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .frame import FILE_LABEL_CODE, MALWARE_TYPES, counts_per_code, session_frame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,22 +32,9 @@ class PackerReport:
     packers_per_type: Dict[MalwareType, List[Tuple[str, int]]]
 
 
-def _packed_pct(labeled: LabeledDataset, shas: Set[str]) -> float:
-    files = labeled.dataset.files
-    if not shas:
-        return 0.0
-    packed = sum(1 for sha in shas if files[sha].is_packed)
-    return 100.0 * packed / len(shas)
-
-
-def _packer_report_frame(frame: "SessionFrame", top_n: int) -> PackerReport:
-    from .frame import (
-        FILE_LABEL_CODE,
-        MALWARE_TYPES,
-        counts_per_code,
-        np,
-    )
-
+def packer_report(labeled: LabeledDataset, top_n: int = 5) -> PackerReport:
+    """Compute the Section IV-C packer statistics."""
+    frame = session_frame(labeled)
     packed = frame.file_packer >= 0
     names = frame.packers.values
 
@@ -97,47 +82,4 @@ def _packer_report_frame(frame: "SessionFrame", top_n: int) -> PackerReport:
         benign_only_packers=benign_packers - malicious_packers,
         malicious_only_packers=malicious_packers - benign_packers,
         packers_per_type=per_type,
-    )
-
-
-def packer_report(
-    labeled: LabeledDataset, top_n: int = 5, fast: Optional[bool] = None
-) -> PackerReport:
-    """Compute the Section IV-C packer statistics."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _packer_report_frame(frame, top_n)
-    files = labeled.dataset.files
-    benign = labeled.files_with_label(FileLabel.BENIGN)
-    malicious = labeled.files_with_label(FileLabel.MALICIOUS)
-    unknown = labeled.files_with_label(FileLabel.UNKNOWN)
-
-    benign_packers = {
-        files[sha].packer for sha in benign if files[sha].packer
-    }
-    malicious_packers = {
-        files[sha].packer for sha in malicious if files[sha].packer
-    }
-    all_packers = {
-        record.packer for record in files.values() if record.packer
-    }
-
-    per_type_counts: Dict[MalwareType, Counter] = defaultdict(Counter)
-    for sha, extraction in labeled.file_types.items():
-        packer = files[sha].packer
-        if packer:
-            per_type_counts[extraction.mtype][packer] += 1
-
-    return PackerReport(
-        benign_packed_pct=_packed_pct(labeled, benign),
-        malicious_packed_pct=_packed_pct(labeled, malicious),
-        unknown_packed_pct=_packed_pct(labeled, unknown),
-        total_packers=len(all_packers),
-        shared_packers=benign_packers & malicious_packers,
-        benign_only_packers=benign_packers - malicious_packers,
-        malicious_only_packers=malicious_packers - benign_packers,
-        packers_per_type={
-            mtype: sorted(counts.items(), key=lambda i: (-i[1], i[0]))[:top_n]
-            for mtype, counts in per_type_counts.items()
-        },
     )

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .frame import FILE_LABEL_CODE, session_frame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,11 +44,16 @@ class PrevalenceReport:
         return series
 
 
-def _prevalence_report_frame(
-    frame: "SessionFrame", sigma: int
+def prevalence_report(
+    labeled: LabeledDataset, sigma: int = 20
 ) -> PrevalenceReport:
-    from .frame import FILE_LABEL_CODE, np
+    """Compute the Figure 2 report.
 
+    ``sigma`` is the reporting threshold: files whose observed prevalence
+    reached it are "capped" (their true prevalence may be higher) and
+    counted in ``capped_fraction`` -- the paper reports ~0.25%.
+    """
+    frame = session_frame(labeled)
     # ``dataset.file_prevalence`` only covers files with >= 1 event.
     observed = frame.file_prevalence > 0
     prevalence = frame.file_prevalence[observed]
@@ -88,54 +92,5 @@ def _prevalence_report_frame(
         capped_fraction=capped / total if total else 0.0,
         machines_with_unknown_fraction=(
             unknown_machines / machine_total if machine_total else 0.0
-        ),
-    )
-
-
-def prevalence_report(
-    labeled: LabeledDataset, sigma: int = 20, fast: Optional[bool] = None
-) -> PrevalenceReport:
-    """Compute the Figure 2 report.
-
-    ``sigma`` is the reporting threshold: files whose observed prevalence
-    reached it are "capped" (their true prevalence may be higher) and
-    counted in ``capped_fraction`` -- the paper reports ~0.25%.
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _prevalence_report_frame(frame, sigma)
-    prevalence = labeled.dataset.file_prevalence
-    by_label: Dict[FileLabel, Counter] = {label: Counter() for label in FileLabel}
-    single = 0
-    capped = 0
-    for sha1, count in prevalence.items():
-        by_label[labeled.file_labels[sha1]][count] += 1
-        if count == 1:
-            single += 1
-        if count >= sigma:
-            capped += 1
-    total = len(prevalence)
-
-    unknown_machines = {
-        event.machine_id
-        for event in labeled.dataset.events
-        if labeled.file_labels[event.file_sha1] == FileLabel.UNKNOWN
-    }
-    machine_total = len(labeled.dataset.machine_ids)
-
-    single_by_label = {}
-    for label, counts in by_label.items():
-        label_total = sum(counts.values())
-        single_by_label[label] = (
-            counts[1] / label_total if label_total else 0.0
-        )
-
-    return PrevalenceReport(
-        distribution_by_label=by_label,
-        single_machine_fraction=single / total if total else 0.0,
-        single_machine_fraction_by_label=single_by_label,
-        capped_fraction=capped / total if total else 0.0,
-        machines_with_unknown_fraction=(
-            len(unknown_machines) / machine_total if machine_total else 0.0
         ),
     )

@@ -10,22 +10,23 @@ behavior type (Table XII).
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
-from ..labeling.labels import (
-    Browser,
-    FileLabel,
-    MalwareType,
-    ProcessCategory,
-    browser_from_name,
-    categorize_process_name,
+from ..labeling.labels import Browser, FileLabel, MalwareType, ProcessCategory
+from .frame import (
+    BROWSER_CODE,
+    FILE_LABEL_CODE,
+    MALWARE_TYPE_CODE,
+    MALWARE_TYPES,
+    PROCESS_CATEGORIES,
+    PROCESS_CATEGORY_CODE,
+    SessionFrame,
+    session_frame,
+    unique_pairs,
 )
-from .common import benign_process_shas, labeled_events, resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,50 +49,8 @@ class ProcessBehaviorRow:
 
 
 def _behavior_row(
-    labeled: LabeledDataset, group: str, process_shas: Set[str]
+    frame: SessionFrame, group: str, process_mask
 ) -> ProcessBehaviorRow:
-    machines: Set[str] = set()
-    infected: Set[str] = set()
-    files_by_label: Dict[FileLabel, Set[str]] = defaultdict(set)
-    malicious_files: Set[str] = set()
-    for event, label in labeled_events(labeled):
-        if event.process_sha1 not in process_shas:
-            continue
-        machines.add(event.machine_id)
-        files_by_label[label].add(event.file_sha1)
-        if label == FileLabel.MALICIOUS:
-            infected.add(event.machine_id)
-            malicious_files.add(event.file_sha1)
-
-    type_counts: Dict[MalwareType, int] = defaultdict(int)
-    for sha in malicious_files:
-        mtype = labeled.type_of(sha)
-        if mtype is not None:
-            type_counts[mtype] += 1
-    total_typed = sum(type_counts.values())
-    type_mix = {
-        mtype: count / total_typed for mtype, count in type_counts.items()
-    } if total_typed else {}
-
-    return ProcessBehaviorRow(
-        group=group,
-        processes=len(process_shas),
-        machines=len(machines),
-        unknown_files=len(files_by_label[FileLabel.UNKNOWN]),
-        benign_files=len(files_by_label[FileLabel.BENIGN]),
-        malicious_files=len(malicious_files),
-        infected_machine_pct=(
-            100.0 * len(infected) / len(machines) if machines else 0.0
-        ),
-        type_mix=type_mix,
-    )
-
-
-def _behavior_row_frame(
-    frame: "SessionFrame", group: str, process_mask
-) -> ProcessBehaviorRow:
-    from .frame import FILE_LABEL_CODE, MALWARE_TYPES, np
-
     selected = process_mask[frame.event_process]
     labels = frame.event_file_label()[selected]
     ev_files = frame.event_file[selected]
@@ -129,18 +88,20 @@ def _behavior_row_frame(
     )
 
 
-def _benign_active_mask(frame: "SessionFrame"):
-    from .frame import FILE_LABEL_CODE
-
+def _benign_active_mask(frame: SessionFrame):
     benign = frame.process_label == FILE_LABEL_CODE[FileLabel.BENIGN]
     return benign & frame.active_process_mask()
 
 
-def _benign_process_behavior_frame(
-    frame: "SessionFrame",
+def benign_process_behavior(
+    labeled: LabeledDataset,
 ) -> Dict[ProcessCategory, ProcessBehaviorRow]:
-    from .frame import PROCESS_CATEGORY_CODE
+    """Table X: download behavior of benign processes per category.
 
+    Only processes that initiated at least one reported download are
+    counted (the dataset has no visibility into idle processes).
+    """
+    frame = session_frame(labeled)
     eligible = _benign_active_mask(frame)
     result: Dict[ProcessCategory, ProcessBehaviorRow] = {}
     for category in sorted(ProcessCategory, key=lambda c: c.value):
@@ -149,78 +110,32 @@ def _benign_process_behavior_frame(
         )
         if not mask.any():
             continue
-        result[category] = _behavior_row_frame(frame, category.value, mask)
+        result[category] = _behavior_row(frame, category.value, mask)
     return result
 
 
-def benign_process_behavior(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> Dict[ProcessCategory, ProcessBehaviorRow]:
-    """Table X: download behavior of benign processes per category.
-
-    Only processes that initiated at least one reported download are
-    counted (the dataset has no visibility into idle processes).
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _benign_process_behavior_frame(frame)
-    benign = benign_process_shas(labeled)
-    active = {event.process_sha1 for event in labeled.dataset.events}
-    by_category: Dict[ProcessCategory, Set[str]] = defaultdict(set)
-    for sha in benign & active:
-        record = labeled.dataset.processes[sha]
-        by_category[categorize_process_name(record.executable_name)].add(sha)
-    return {
-        category: _behavior_row(labeled, category.value, shas)
-        for category, shas in sorted(
-            by_category.items(), key=lambda item: item[0].value
-        )
-    }
-
-
-def _browser_behavior_frame(
-    frame: "SessionFrame",
-) -> Dict[Browser, ProcessBehaviorRow]:
-    from .frame import BROWSER_CODE
-
+def browser_behavior(labeled: LabeledDataset) -> Dict[Browser, ProcessBehaviorRow]:
+    """Table XI: download behavior per benign browser family."""
+    frame = session_frame(labeled)
     eligible = _benign_active_mask(frame)
     result: Dict[Browser, ProcessBehaviorRow] = {}
     for browser in sorted(Browser, key=lambda b: b.value):
         mask = eligible & (frame.process_browser == BROWSER_CODE[browser])
         if not mask.any():
             continue
-        result[browser] = _behavior_row_frame(frame, browser.value, mask)
+        result[browser] = _behavior_row(frame, browser.value, mask)
     return result
 
 
-def browser_behavior(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> Dict[Browser, ProcessBehaviorRow]:
-    """Table XI: download behavior per benign browser family."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _browser_behavior_frame(frame)
-    benign = benign_process_shas(labeled)
-    active = {event.process_sha1 for event in labeled.dataset.events}
-    by_browser: Dict[Browser, Set[str]] = defaultdict(set)
-    for sha in benign & active:
-        record = labeled.dataset.processes[sha]
-        browser = browser_from_name(record.executable_name)
-        if browser is not None:
-            by_browser[browser].add(sha)
-    return {
-        browser: _behavior_row(labeled, browser.value, shas)
-        for browser, shas in sorted(
-            by_browser.items(), key=lambda item: item[0].value
-        )
-    }
-
-
-def _malicious_process_behavior_frame(
-    frame: "SessionFrame",
+def malicious_process_behavior(
+    labeled: LabeledDataset,
 ) -> Dict[Optional[MalwareType], ProcessBehaviorRow]:
-    from .frame import FILE_LABEL_CODE, MALWARE_TYPE_CODE
+    """Table XII: download behavior of malicious processes by type.
 
+    The ``None`` key holds the "Overall" row across all malicious
+    processes.
+    """
+    frame = session_frame(labeled)
     malicious = (
         frame.process_label == FILE_LABEL_CODE[FileLabel.MALICIOUS]
     ) & frame.active_process_mask()
@@ -231,39 +146,8 @@ def _malicious_process_behavior_frame(
         )
         if not mask.any():
             continue
-        rows[mtype] = _behavior_row_frame(frame, mtype.value, mask)
-    rows[None] = _behavior_row_frame(frame, "overall", malicious)
-    return rows
-
-
-def malicious_process_behavior(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> Dict[Optional[MalwareType], ProcessBehaviorRow]:
-    """Table XII: download behavior of malicious processes by type.
-
-    The ``None`` key holds the "Overall" row across all malicious
-    processes.
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _malicious_process_behavior_frame(frame)
-    by_type: Dict[MalwareType, Set[str]] = defaultdict(set)
-    all_malicious: Set[str] = set()
-    active = {event.process_sha1 for event in labeled.dataset.events}
-    for sha, label in labeled.process_labels.items():
-        if label != FileLabel.MALICIOUS or sha not in active:
-            continue
-        all_malicious.add(sha)
-        mtype = labeled.process_type_of(sha)
-        if mtype is not None:
-            by_type[mtype].add(sha)
-    rows: Dict[Optional[MalwareType], ProcessBehaviorRow] = {
-        mtype: _behavior_row(labeled, mtype.value, shas)
-        for mtype, shas in sorted(
-            by_type.items(), key=lambda item: item[0].value
-        )
-    }
-    rows[None] = _behavior_row(labeled, "overall", all_malicious)
+        rows[mtype] = _behavior_row(frame, mtype.value, mask)
+    rows[None] = _behavior_row(frame, "overall", malicious)
     return rows
 
 
@@ -283,16 +167,11 @@ def _group_of_category(category: ProcessCategory) -> str:
     return category.value
 
 
-def _unknown_download_processes_frame(
-    frame: "SessionFrame",
+def unknown_download_processes(
+    labeled: LabeledDataset,
 ) -> List[UnknownDownloadsRow]:
-    from .frame import (
-        FILE_LABEL_CODE,
-        PROCESS_CATEGORIES,
-        np,
-        unique_pairs,
-    )
-
+    """Table XIV: unknown files downloaded per benign process category."""
+    frame = session_frame(labeled)
     benign = frame.process_label == FILE_LABEL_CODE[FileLabel.BENIGN]
     qualifying = (
         frame.event_file_label() == FILE_LABEL_CODE[FileLabel.UNKNOWN]
@@ -303,10 +182,8 @@ def _unknown_download_processes_frame(
     pair_categories, _ = unique_pairs(categories, files, frame.n_files)
     counts = np.bincount(pair_categories, minlength=len(PROCESS_CATEGORIES))
 
-    # The scalar path sorts groups by descending count only; Python's
-    # stable sort then keeps ties in dict-insertion order, i.e. the
-    # order each group's first qualifying event appeared.  Reproduce it
-    # by ranking ties on that first-appearance position.
+    # Groups sort by descending count; ties keep the order in which
+    # each group's first qualifying event appeared.
     entries = []
     for code in np.unique(categories):
         first_position = int(np.nonzero(categories == code)[0][0])
@@ -322,38 +199,6 @@ def _unknown_download_processes_frame(
     rows = [
         UnknownDownloadsRow(group=group, unknown_downloads=count)
         for _, _, group, count in entries
-    ]
-    rows.append(
-        UnknownDownloadsRow(
-            group="total",
-            unknown_downloads=sum(row.unknown_downloads for row in rows),
-        )
-    )
-    return rows
-
-
-def unknown_download_processes(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> List[UnknownDownloadsRow]:
-    """Table XIV: unknown files downloaded per benign process category."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _unknown_download_processes_frame(frame)
-    benign = benign_process_shas(labeled)
-    counts: Dict[str, Set[str]] = defaultdict(set)
-    for event, label in labeled_events(labeled):
-        if label != FileLabel.UNKNOWN:
-            continue
-        if event.process_sha1 not in benign:
-            continue
-        record = labeled.dataset.processes[event.process_sha1]
-        category = categorize_process_name(record.executable_name)
-        counts[_group_of_category(category)].add(event.file_sha1)
-    rows = [
-        UnknownDownloadsRow(group=group, unknown_downloads=len(files))
-        for group, files in sorted(
-            counts.items(), key=lambda item: -len(item[1])
-        )
     ]
     rows.append(
         UnknownDownloadsRow(

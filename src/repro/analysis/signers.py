@@ -8,36 +8,24 @@ files whose downloads include at least one browser-initiated event.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
-from ..labeling.labels import (
-    FileLabel,
-    MalwareType,
-    ProcessCategory,
-    categorize_process_name,
+from ..labeling.labels import FileLabel, MalwareType, ProcessCategory
+from .frame import (
+    FILE_LABEL_CODE,
+    MALWARE_TYPE_CODE,
+    PROCESS_CATEGORY_CODE,
+    SessionFrame,
+    counts_per_code,
+    session_frame,
 )
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
 
 
-def _browser_downloaded_files(labeled: LabeledDataset) -> Set[str]:
-    """Files with at least one browser-initiated download event."""
-    result: Set[str] = set()
-    for event in labeled.dataset.events:
-        record = labeled.dataset.processes[event.process_sha1]
-        if categorize_process_name(record.executable_name) == ProcessCategory.BROWSER:
-            result.add(event.file_sha1)
-    return result
-
-
-def _browser_file_mask(frame: "SessionFrame"):
+def _browser_file_mask(frame: SessionFrame):
     """Per-file bool: downloaded by a browser process at least once."""
-    from .frame import PROCESS_CATEGORY_CODE, np
-
     browser_events = (
         frame.event_process_category()
         == PROCESS_CATEGORY_CODE[ProcessCategory.BROWSER]
@@ -48,22 +36,16 @@ def _browser_file_mask(frame: "SessionFrame"):
     return mask
 
 
-def _file_label_mask(frame: "SessionFrame", label: FileLabel):
-    from .frame import FILE_LABEL_CODE
-
+def _file_label_mask(frame: SessionFrame, label: FileLabel):
     return frame.file_label == FILE_LABEL_CODE[label]
 
 
-def _file_type_mask(frame: "SessionFrame", mtype: MalwareType):
-    from .frame import MALWARE_TYPE_CODE
-
+def _file_type_mask(frame: SessionFrame, mtype: MalwareType):
     return frame.file_type == MALWARE_TYPE_CODE[mtype]
 
 
-def _signer_set_frame(frame: "SessionFrame", file_mask):
+def _signer_set(frame: SessionFrame, file_mask):
     """Bool mask over signer codes used by the masked files."""
-    from .frame import np
-
     mask = np.zeros(len(frame.signers), dtype=bool)
     codes = frame.file_signer[file_mask]
     codes = codes[codes >= 0]
@@ -72,10 +54,8 @@ def _signer_set_frame(frame: "SessionFrame", file_mask):
     return mask
 
 
-def _signer_counts_frame_array(frame: "SessionFrame", file_mask):
+def _signer_file_counts(frame: SessionFrame, file_mask):
     """Per-signer file counts (with multiplicity) for the masked files."""
-    from .frame import counts_per_code
-
     codes = frame.file_signer[file_mask]
     return counts_per_code(codes[codes >= 0], len(frame.signers))
 
@@ -91,28 +71,9 @@ class SignedRateRow:
     browser_signed_pct: float
 
 
-def _rate_row(
-    labeled: LabeledDataset,
-    group: str,
-    shas: Set[str],
-    browser_files: Set[str],
-) -> SignedRateRow:
-    files = labeled.dataset.files
-    signed = sum(1 for sha in shas if files[sha].is_signed)
-    from_browser = shas & browser_files
-    browser_signed = sum(1 for sha in from_browser if files[sha].is_signed)
-    return SignedRateRow(
-        group=group,
-        files=len(shas),
-        signed_pct=100.0 * signed / len(shas) if shas else 0.0,
-        browser_files=len(from_browser),
-        browser_signed_pct=(
-            100.0 * browser_signed / len(from_browser) if from_browser else 0.0
-        ),
-    )
-
-
-def _signed_percentages_frame(frame: "SessionFrame") -> List[SignedRateRow]:
+def signed_percentages(labeled: LabeledDataset) -> List[SignedRateRow]:
+    """Table VI: signed fraction per malicious type and per label class."""
+    frame = session_frame(labeled)
     browser_files = _browser_file_mask(frame)
     signed = frame.file_signer >= 0
 
@@ -145,43 +106,6 @@ def _signed_percentages_frame(frame: "SessionFrame") -> List[SignedRateRow]:
     return rows
 
 
-def signed_percentages(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> List[SignedRateRow]:
-    """Table VI: signed fraction per malicious type and per label class."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _signed_percentages_frame(frame)
-    browser_files = _browser_downloaded_files(labeled)
-    by_type: Dict[MalwareType, Set[str]] = defaultdict(set)
-    for sha, extraction in labeled.file_types.items():
-        by_type[extraction.mtype].add(sha)
-    rows = [
-        _rate_row(labeled, mtype.value, by_type.get(mtype, set()), browser_files)
-        for mtype in MalwareType
-    ]
-    rows.append(
-        _rate_row(labeled, "benign",
-                  labeled.files_with_label(FileLabel.BENIGN), browser_files)
-    )
-    rows.append(
-        _rate_row(labeled, "unknown",
-                  labeled.files_with_label(FileLabel.UNKNOWN), browser_files)
-    )
-    rows.append(
-        _rate_row(labeled, "malicious",
-                  labeled.files_with_label(FileLabel.MALICIOUS), browser_files)
-    )
-    return rows
-
-
-def _signers_of(labeled: LabeledDataset, shas: Set[str]) -> Set[str]:
-    files = labeled.dataset.files
-    return {
-        files[sha].signer for sha in shas if files[sha].signer is not None
-    }
-
-
 @dataclasses.dataclass(frozen=True)
 class SignerCountRow:
     """One row of Table VII (``mtype=None`` for the Total row)."""
@@ -191,18 +115,22 @@ class SignerCountRow:
     common_with_benign: int
 
 
-def _signer_counts_frame(
-    frame: "SessionFrame",
+def signer_counts(
+    labeled: LabeledDataset,
 ) -> Tuple[List[SignerCountRow], SignerCountRow]:
-    from .frame import np
+    """Table VII: distinct signers per type and overlap with benign.
 
-    benign_signers = _signer_set_frame(
+    Returns (per-type rows, total row); the total row's ``mtype`` is
+    ``None``-like (reported under "Total" by the renderer).
+    """
+    frame = session_frame(labeled)
+    benign_signers = _signer_set(
         frame, _file_label_mask(frame, FileLabel.BENIGN)
     )
     rows = []
     all_malicious = np.zeros(len(frame.signers), dtype=bool)
     for mtype in MalwareType:
-        signers = _signer_set_frame(frame, _file_type_mask(frame, mtype))
+        signers = _signer_set(frame, _file_type_mask(frame, mtype))
         all_malicious |= signers
         rows.append(
             SignerCountRow(
@@ -219,43 +147,6 @@ def _signer_counts_frame(
     return rows, total
 
 
-def signer_counts(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> Tuple[List[SignerCountRow], SignerCountRow]:
-    """Table VII: distinct signers per type and overlap with benign.
-
-    Returns (per-type rows, total row); the total row's ``mtype`` is
-    ``None``-like (reported under "Total" by the renderer).
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _signer_counts_frame(frame)
-    benign_signers = _signers_of(
-        labeled, labeled.files_with_label(FileLabel.BENIGN)
-    )
-    by_type: Dict[MalwareType, Set[str]] = defaultdict(set)
-    for sha, extraction in labeled.file_types.items():
-        by_type[extraction.mtype].add(sha)
-    rows = []
-    all_malicious_signers: Set[str] = set()
-    for mtype in MalwareType:
-        signers = _signers_of(labeled, by_type.get(mtype, set()))
-        all_malicious_signers |= signers
-        rows.append(
-            SignerCountRow(
-                mtype=mtype,
-                signers=len(signers),
-                common_with_benign=len(signers & benign_signers),
-            )
-        )
-    total = SignerCountRow(
-        mtype=None,
-        signers=len(all_malicious_signers),
-        common_with_benign=len(all_malicious_signers & benign_signers),
-    )
-    return rows, total
-
-
 @dataclasses.dataclass(frozen=True)
 class TopSignersRow:
     """One row of Table VIII."""
@@ -266,16 +157,8 @@ class TopSignersRow:
     top_exclusive: List[str]
 
 
-def _top_signer_names(counter: Counter, n: int = 3) -> List[str]:
-    return [name for name, _ in sorted(
-        counter.items(), key=lambda item: (-item[1], item[0])
-    )[:n]]
-
-
-def _top_codes(frame: "SessionFrame", counts, membership, n: int) -> List[str]:
+def _top_codes(frame: SessionFrame, counts, membership, n: int) -> List[str]:
     """Top-``n`` signer names among counts where ``membership`` holds."""
-    from .frame import np
-
     names = frame.signers.values
     selected = np.nonzero((counts > 0) & membership)[0]
     items = [(names[code], int(counts[code])) for code in selected]
@@ -285,13 +168,13 @@ def _top_codes(frame: "SessionFrame", counts, membership, n: int) -> List[str]:
     ]
 
 
-def _top_signers_frame(frame: "SessionFrame", n: int) -> List[TopSignersRow]:
-    from .frame import np
-
+def top_signers(labeled: LabeledDataset, n: int = 3) -> List[TopSignersRow]:
+    """Table VIII: top signers per type, split common/exclusive vs benign."""
+    frame = session_frame(labeled)
     benign_mask = _file_label_mask(frame, FileLabel.BENIGN)
     malicious_mask = _file_label_mask(frame, FileLabel.MALICIOUS)
-    benign_signers = _signer_set_frame(frame, benign_mask)
-    malicious_signers = _signer_set_frame(frame, malicious_mask)
+    benign_signers = _signer_set(frame, benign_mask)
+    malicious_signers = _signer_set(frame, malicious_mask)
     everyone = np.ones(len(frame.signers), dtype=bool)
 
     groups: List[Tuple[str, object]] = [
@@ -302,7 +185,7 @@ def _top_signers_frame(frame: "SessionFrame", n: int) -> List[TopSignersRow]:
 
     rows = []
     for group, file_mask in groups:
-        counts = _signer_counts_frame_array(frame, file_mask)
+        counts = _signer_file_counts(frame, file_mask)
         other = malicious_signers if group == "benign" else benign_signers
         rows.append(
             TopSignersRow(
@@ -310,60 +193,6 @@ def _top_signers_frame(frame: "SessionFrame", n: int) -> List[TopSignersRow]:
                 top=_top_codes(frame, counts, everyone, n),
                 top_common_with_benign=_top_codes(frame, counts, other, n),
                 top_exclusive=_top_codes(frame, counts, ~other, n),
-            )
-        )
-    return rows
-
-
-def top_signers(
-    labeled: LabeledDataset, n: int = 3, fast: Optional[bool] = None
-) -> List[TopSignersRow]:
-    """Table VIII: top signers per type, split common/exclusive vs benign."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _top_signers_frame(frame, n)
-    files = labeled.dataset.files
-    benign_shas = labeled.files_with_label(FileLabel.BENIGN)
-    benign_signers = _signers_of(labeled, benign_shas)
-    malicious_shas = labeled.files_with_label(FileLabel.MALICIOUS)
-
-    groups: Dict[str, Set[str]] = {
-        mtype.value: set() for mtype in MalwareType
-    }
-    for sha, extraction in labeled.file_types.items():
-        groups[extraction.mtype.value].add(sha)
-    groups["malicious (total)"] = set(malicious_shas)
-    groups["benign"] = set(benign_shas)
-
-    rows = []
-    for group, shas in groups.items():
-        counter: Counter = Counter()
-        for sha in shas:
-            signer = files[sha].signer
-            if signer is not None:
-                counter[signer] += 1
-        if group == "benign":
-            common = Counter(
-                {s: c for s, c in counter.items()
-                 if s in _signers_of(labeled, malicious_shas)}
-            )
-            exclusive = Counter(
-                {s: c for s, c in counter.items()
-                 if s not in _signers_of(labeled, malicious_shas)}
-            )
-        else:
-            common = Counter(
-                {s: c for s, c in counter.items() if s in benign_signers}
-            )
-            exclusive = Counter(
-                {s: c for s, c in counter.items() if s not in benign_signers}
-            )
-        rows.append(
-            TopSignersRow(
-                group=group,
-                top=_top_signer_names(counter, n),
-                top_common_with_benign=_top_signer_names(common, n),
-                top_exclusive=_top_signer_names(exclusive, n),
             )
         )
     return rows
@@ -377,19 +206,17 @@ class ExclusiveSigners:
     malicious: List[Tuple[str, int]]
 
 
-def _exclusive_signers_frame(
-    frame: "SessionFrame", n: int
-) -> ExclusiveSigners:
-    benign_counts = _signer_counts_frame_array(
+def exclusive_signers(labeled: LabeledDataset, n: int = 10) -> ExclusiveSigners:
+    """Top signers that signed only benign or only malicious files."""
+    frame = session_frame(labeled)
+    benign_counts = _signer_file_counts(
         frame, _file_label_mask(frame, FileLabel.BENIGN)
     )
-    malicious_counts = _signer_counts_frame_array(
+    malicious_counts = _signer_file_counts(
         frame, _file_label_mask(frame, FileLabel.MALICIOUS)
     )
 
     def exclusive(counts, other_counts) -> List[Tuple[str, int]]:
-        from .frame import np
-
         names = frame.signers.values
         selected = np.nonzero((counts > 0) & (other_counts == 0))[0]
         items = [(names[code], int(counts[code])) for code in selected]
@@ -401,45 +228,13 @@ def _exclusive_signers_frame(
     )
 
 
-def exclusive_signers(
-    labeled: LabeledDataset, n: int = 10, fast: Optional[bool] = None
-) -> ExclusiveSigners:
-    """Top signers that signed only benign or only malicious files."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _exclusive_signers_frame(frame, n)
-    files = labeled.dataset.files
-    benign_counter: Counter = Counter()
-    malicious_counter: Counter = Counter()
-    for sha in labeled.files_with_label(FileLabel.BENIGN):
-        if files[sha].signer:
-            benign_counter[files[sha].signer] += 1
-    for sha in labeled.files_with_label(FileLabel.MALICIOUS):
-        if files[sha].signer:
-            malicious_counter[files[sha].signer] += 1
-    benign_only = {
-        signer: count for signer, count in benign_counter.items()
-        if signer not in malicious_counter
-    }
-    malicious_only = {
-        signer: count for signer, count in malicious_counter.items()
-        if signer not in benign_counter
-    }
-    return ExclusiveSigners(
-        benign=sorted(benign_only.items(), key=lambda i: (-i[1], i[0]))[:n],
-        malicious=sorted(malicious_only.items(), key=lambda i: (-i[1], i[0]))[:n],
-    )
-
-
-def _shared_signer_scatter_frame(
-    frame: "SessionFrame",
-) -> List[Tuple[str, int, int]]:
-    from .frame import np
-
-    benign_counts = _signer_counts_frame_array(
+def shared_signer_scatter(labeled: LabeledDataset) -> List[Tuple[str, int, int]]:
+    """Figure 4: per shared signer, (name, #malicious files, #benign files)."""
+    frame = session_frame(labeled)
+    benign_counts = _signer_file_counts(
         frame, _file_label_mask(frame, FileLabel.BENIGN)
     )
-    malicious_counts = _signer_counts_frame_array(
+    malicious_counts = _signer_file_counts(
         frame, _file_label_mask(frame, FileLabel.MALICIOUS)
     )
     names = frame.signers.values
@@ -448,32 +243,6 @@ def _shared_signer_scatter_frame(
         (
             (names[code], int(malicious_counts[code]), int(benign_counts[code]))
             for code in shared
-        ),
-        key=lambda item: (-(item[1] + item[2]), item[0]),
-    )
-
-
-def shared_signer_scatter(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> List[Tuple[str, int, int]]:
-    """Figure 4: per shared signer, (name, #malicious files, #benign files)."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _shared_signer_scatter_frame(frame)
-    files = labeled.dataset.files
-    benign_counter: Counter = Counter()
-    malicious_counter: Counter = Counter()
-    for sha in labeled.files_with_label(FileLabel.BENIGN):
-        if files[sha].signer:
-            benign_counter[files[sha].signer] += 1
-    for sha in labeled.files_with_label(FileLabel.MALICIOUS):
-        if files[sha].signer:
-            malicious_counter[files[sha].signer] += 1
-    shared = set(benign_counter) & set(malicious_counter)
-    return sorted(
-        (
-            (signer, malicious_counter[signer], benign_counter[signer])
-            for signer in shared
         ),
         key=lambda item: (-(item[1] + item[2]), item[0]),
     )

@@ -8,15 +8,14 @@ and download URLs observed that month.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel, UrlLabel
 from ..telemetry.events import MONTH_NAMES, NUM_MONTHS
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .frame import URL_LABEL_CODE, SessionFrame, session_frame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,50 +54,8 @@ def _pct(count: int, total: int) -> float:
     return 100.0 * count / total if total else 0.0
 
 
-def _label_pcts(labels: Dict[str, FileLabel], shas) -> Dict[FileLabel, float]:
-    total = len(shas)
-    counts: Dict[FileLabel, int] = {label: 0 for label in FileLabel}
-    for sha in shas:
-        counts[labels[sha]] += 1
-    return {label: _pct(count, total) for label, count in counts.items()}
-
-
-def _summarize(labeled: LabeledDataset, events, month: str) -> MonthlySummaryRow:
-    machines = {event.machine_id for event in events}
-    files = {event.file_sha1 for event in events}
-    processes = {event.process_sha1 for event in events}
-    urls = {event.url for event in events}
-
-    file_pcts = _label_pcts(labeled.file_labels, files)
-    proc_pcts = _label_pcts(labeled.process_labels, processes)
-    url_benign = sum(
-        1 for url in urls if labeled.url_labels[url] == UrlLabel.BENIGN
-    )
-    url_malicious = sum(
-        1 for url in urls if labeled.url_labels[url] == UrlLabel.MALICIOUS
-    )
-    return MonthlySummaryRow(
-        month=month,
-        machines=len(machines),
-        events=len(events),
-        processes=len(processes),
-        proc_benign_pct=proc_pcts[FileLabel.BENIGN],
-        proc_likely_benign_pct=proc_pcts[FileLabel.LIKELY_BENIGN],
-        proc_malicious_pct=proc_pcts[FileLabel.MALICIOUS],
-        proc_likely_malicious_pct=proc_pcts[FileLabel.LIKELY_MALICIOUS],
-        files=len(files),
-        file_benign_pct=file_pcts[FileLabel.BENIGN],
-        file_likely_benign_pct=file_pcts[FileLabel.LIKELY_BENIGN],
-        file_malicious_pct=file_pcts[FileLabel.MALICIOUS],
-        file_likely_malicious_pct=file_pcts[FileLabel.LIKELY_MALICIOUS],
-        urls=len(urls),
-        url_benign_pct=_pct(url_benign, len(urls)),
-        url_malicious_pct=_pct(url_malicious, len(urls)),
-    )
-
-
-def _label_pcts_frame(np, label_column, codes) -> Dict[FileLabel, float]:
-    """Frame twin of :func:`_label_pcts` over entity-code arrays."""
+def _label_pcts(label_column, codes) -> Dict[FileLabel, float]:
+    """Percentage of the coded entities carrying each label."""
     total = int(codes.shape[0])
     # Shift by one so an ABSENT (-1) entry lands in bin 0 and the five
     # real labels in bins 1..5.
@@ -111,11 +68,7 @@ def _label_pcts_frame(np, label_column, codes) -> Dict[FileLabel, float]:
     }
 
 
-def _summarize_frame(
-    frame: "SessionFrame", mask, month: str
-) -> MonthlySummaryRow:
-    from .frame import URL_LABEL_CODE, np
-
+def _summarize(frame: SessionFrame, mask, month: str) -> MonthlySummaryRow:
     if mask is None:
         events = frame.n_events
         ev_files = frame.event_file
@@ -133,8 +86,8 @@ def _summarize_frame(
     processes = np.unique(ev_processes)
     urls = np.unique(ev_urls)
 
-    file_pcts = _label_pcts_frame(np, frame.file_label, files)
-    proc_pcts = _label_pcts_frame(np, frame.process_label, processes)
+    file_pcts = _label_pcts(frame.file_label, files)
+    proc_pcts = _label_pcts(frame.process_label, processes)
     url_labels = frame.url_label[urls]
     url_benign = int((url_labels == URL_LABEL_CODE[UrlLabel.BENIGN]).sum())
     url_malicious = int(
@@ -160,27 +113,12 @@ def _summarize_frame(
     )
 
 
-def _monthly_summary_frame(frame: "SessionFrame") -> List[MonthlySummaryRow]:
-    rows = [
-        _summarize_frame(frame, frame.event_month == month,
-                         MONTH_NAMES[month])
-        for month in range(NUM_MONTHS)
-    ]
-    rows.append(_summarize_frame(frame, None, "Overall"))
-    return rows
-
-
-def monthly_summary(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> List[MonthlySummaryRow]:
+def monthly_summary(labeled: LabeledDataset) -> List[MonthlySummaryRow]:
     """Compute Table I: one row per month plus an "Overall" row."""
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _monthly_summary_frame(frame)
+    frame = session_frame(labeled)
     rows = [
-        _summarize(labeled, labeled.dataset.events_by_month[month],
-                   MONTH_NAMES[month])
+        _summarize(frame, frame.event_month == month, MONTH_NAMES[month])
         for month in range(NUM_MONTHS)
     ]
-    rows.append(_summarize(labeled, labeled.dataset.events, "Overall"))
+    rows.append(_summarize(frame, None, "Overall"))
     return rows

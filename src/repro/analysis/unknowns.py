@@ -11,15 +11,13 @@ makes the Section VI-B rule labeling possible in the first place.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import Dict
+
+import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel
-from .common import resolve_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frame import SessionFrame
+from .frame import FILE_LABEL_CODE, SessionFrame, session_frame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,26 +49,7 @@ class UnknownCharacteristics:
         )
 
 
-def _profile(labeled: LabeledDataset, shas: Set[str]) -> ClassProfile:
-    files = labeled.dataset.files
-    prevalence = labeled.dataset.file_prevalence
-    if not shas:
-        return ClassProfile(0, 0.0, 0.0, 0, 0.0)
-    signed = sum(1 for sha in shas if files[sha].is_signed)
-    packed = sum(1 for sha in shas if files[sha].is_packed)
-    sizes = [files[sha].size_bytes for sha in shas]
-    return ClassProfile(
-        files=len(shas),
-        signed_fraction=signed / len(shas),
-        packed_fraction=packed / len(shas),
-        median_size_bytes=int(statistics.median(sizes)),
-        mean_prevalence=sum(prevalence[sha] for sha in shas) / len(shas),
-    )
-
-
-def _profile_frame(frame: "SessionFrame", mask) -> ClassProfile:
-    from .frame import np
-
+def _profile(frame: SessionFrame, mask) -> ClassProfile:
     total = int(mask.sum())
     if not total:
         return ClassProfile(0, 0.0, 0.0, 0, 0.0)
@@ -93,17 +72,22 @@ def _profile_frame(frame: "SessionFrame", mask) -> ClassProfile:
     )
 
 
-def _unknown_characteristics_frame(
-    frame: "SessionFrame",
-) -> UnknownCharacteristics:
-    from .frame import FILE_LABEL_CODE, np
+def unknown_characteristics(labeled: LabeledDataset) -> UnknownCharacteristics:
+    """Profile unknown files against benign and malicious files.
 
+    The signer-overlap fractions are computed over *signed* unknown
+    files: how many carry a signer also seen on known-malicious (only)
+    files, on known-benign (only) files, or on no labeled file at all.
+    Signers seen on both sides count toward neither exclusive bucket
+    (a rule learner would reject or conflict on them).
+    """
+    frame = session_frame(labeled)
     masks = {
         label: frame.file_label == FILE_LABEL_CODE[label]
         for label in (FileLabel.UNKNOWN, FileLabel.BENIGN, FileLabel.MALICIOUS)
     }
     profiles = {
-        label: _profile_frame(frame, mask) for label, mask in masks.items()
+        label: _profile(frame, mask) for label, mask in masks.items()
     }
 
     def signer_mask(file_mask):
@@ -129,69 +113,6 @@ def _unknown_characteristics_frame(
     unseen = int(
         (~malicious_signers[signed_unknowns]
          & ~benign_signers[signed_unknowns]).sum()
-    )
-    return UnknownCharacteristics(
-        profiles=profiles,
-        signer_overlap_with_malicious=overlap_malicious / total_signed,
-        signer_overlap_with_benign=overlap_benign / total_signed,
-        signer_unseen_fraction=unseen / total_signed,
-    )
-
-
-def unknown_characteristics(
-    labeled: LabeledDataset, fast: Optional[bool] = None
-) -> UnknownCharacteristics:
-    """Profile unknown files against benign and malicious files.
-
-    The signer-overlap fractions are computed over *signed* unknown
-    files: how many carry a signer also seen on known-malicious (only)
-    files, on known-benign (only) files, or on no labeled file at all.
-    Signers seen on both sides count toward neither exclusive bucket
-    (a rule learner would reject or conflict on them).
-    """
-    frame = resolve_frame(labeled, fast)
-    if frame is not None:
-        return _unknown_characteristics_frame(frame)
-    files = labeled.dataset.files
-    by_label = {
-        label: labeled.files_with_label(label)
-        for label in (FileLabel.UNKNOWN, FileLabel.BENIGN, FileLabel.MALICIOUS)
-    }
-    profiles = {
-        label: _profile(labeled, shas) for label, shas in by_label.items()
-    }
-
-    benign_signers = {
-        files[sha].signer
-        for sha in by_label[FileLabel.BENIGN]
-        if files[sha].signer
-    }
-    malicious_signers = {
-        files[sha].signer
-        for sha in by_label[FileLabel.MALICIOUS]
-        if files[sha].signer
-    }
-    malicious_only = malicious_signers - benign_signers
-    benign_only = benign_signers - malicious_signers
-
-    signed_unknowns = [
-        files[sha].signer
-        for sha in by_label[FileLabel.UNKNOWN]
-        if files[sha].signer
-    ]
-    total_signed = len(signed_unknowns)
-    if total_signed == 0:
-        return UnknownCharacteristics(profiles, 0.0, 0.0, 0.0)
-    overlap_malicious = sum(
-        1 for signer in signed_unknowns if signer in malicious_only
-    )
-    overlap_benign = sum(
-        1 for signer in signed_unknowns if signer in benign_only
-    )
-    unseen = sum(
-        1
-        for signer in signed_unknowns
-        if signer not in malicious_signers and signer not in benign_signers
     )
     return UnknownCharacteristics(
         profiles=profiles,

@@ -70,7 +70,6 @@ from .obs import trace as obs_trace
 from .pipeline import Session, build_session, export_session
 from .synth.world import WorldConfig
 from .telemetry import store as telemetry_store
-from .telemetry.io import save_dataset
 
 #: Experiment name -> renderer taking (labeled) or (labeled, alexa).
 _EXPERIMENTS: Dict[str, str] = {
@@ -201,7 +200,7 @@ def _session(args: argparse.Namespace) -> Session:
 def _cmd_generate(args: argparse.Namespace) -> int:
     session = _session(args)
     out = Path(args.out)
-    save_dataset(session.dataset, out)
+    telemetry_store.save_dataset(session.dataset, out)
     labels_path = out / "labels.jsonl"
     with open(labels_path, "w", encoding="utf-8") as handle:
         for sha1, label in sorted(session.labeled.file_labels.items()):

@@ -8,16 +8,18 @@ for the ablation benchmarks.
 
 Two execution paths produce identical decisions:
 
-* :meth:`RuleBasedClassifier.classify` -- the scalar reference: walk
-  every rule per instance;
-* the **columnar fast path** (:mod:`repro.core.columnar`) -- used
-  automatically by :meth:`RuleBasedClassifier.classify_batch` and
-  :meth:`RuleBasedClassifier.evaluate` when numpy is available and every
-  condition is a categorical equality: feature values are interned to
-  integer codes, rules compile to per-feature allowed-code masks, and
-  identical feature tuples are deduplicated (``np.unique``) so each
-  distinct tuple is resolved once.  ``fast=False`` forces the scalar
-  path (the equivalence tests compare the two).
+* :meth:`RuleBasedClassifier.classify` -- walk every rule for one
+  instance.  Single-instance callers (online labeling, evasion
+  experiments, the rule-system baseline) use it, and it is the
+  reference the columnar path is tested against;
+* the **columnar path** (:mod:`repro.core.columnar`) -- taken by
+  :meth:`RuleBasedClassifier.classify_batch` and
+  :meth:`RuleBasedClassifier.evaluate` whenever every condition is a
+  categorical equality: feature values are interned to integer codes,
+  rules compile to per-feature allowed-code masks, and identical
+  feature tuples are deduplicated (``np.unique``) so each distinct
+  tuple is resolved once.  Rule sets with numeric conditions, which
+  the masks cannot represent, fall back to the per-instance walk.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import dataclasses
 import enum
 from collections import Counter
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace
@@ -129,24 +133,20 @@ _LABEL_FROM_CODE = {
 class RuleBasedClassifier:
     """Applies a selected rule set with a conflict policy.
 
-    ``fast`` selects the execution path for batch entry points: ``None``
-    (default) auto-detects -- columnar when numpy is importable and the
-    rules are categorical-equality only, scalar otherwise; ``False``
-    forces the scalar reference path.  Both paths are decision-for-
-    decision identical (property-tested).  The rule set is snapshotted
-    by the fast path on first batch call; mutating ``rules`` afterwards
-    requires a fresh classifier.
+    Batch entry points run on the columnar path when the rules allow it
+    (see the module docstring); it is decision-for-decision identical to
+    :meth:`classify` (property-tested).  The rule set is snapshotted by
+    the columnar path on the first batch call; mutating ``rules``
+    afterwards requires a fresh classifier.
     """
 
     def __init__(
         self,
         rules: RuleSet,
         policy: ConflictPolicy = ConflictPolicy.REJECT,
-        fast: Optional[bool] = None,
     ) -> None:
         self.rules = rules
         self.policy = policy
-        self._fast = fast
         self._evaluator: Optional[columnar.ColumnarRuleEvaluator] = None
 
     def classify(self, values: Sequence) -> Decision:
@@ -181,8 +181,6 @@ class RuleBasedClassifier:
         self, rows: Sequence[Sequence]
     ) -> Optional[columnar.MatchedBatch]:
         """Columnar match for a batch, or ``None`` -> scalar fallback."""
-        if self._fast is False or not columnar.HAVE_NUMPY:
-            return None
         if self._evaluator is None:
             self._evaluator = columnar.ColumnarRuleEvaluator(self.rules.rules)
         return self._evaluator.match_rows(rows)
@@ -220,7 +218,7 @@ class RuleBasedClassifier:
 
         Following Section VI-D, rates are computed only over samples that
         match at least one rule and are not rejected.  Uses the columnar
-        fast path when available (see the module docstring); aggregate
+        path when the rules allow it (see the module docstring); aggregate
         counts feed the metrics registry once per call -- the inner
         matching loops stay uninstrumented.
         """
@@ -244,10 +242,10 @@ class RuleBasedClassifier:
         return result
 
     def evaluate_scalar(self, instances: Sequence[Instance]) -> EvaluationResult:
-        """The scalar reference evaluation (no counters, no fast path).
+        """The scalar reference evaluation (no counters, no columnar path).
 
         Kept public so equivalence tests and benchmarks can pin the
-        baseline regardless of the ``fast`` setting.
+        per-instance baseline.
         """
         return self._evaluate(instances)
 
@@ -299,7 +297,6 @@ class RuleBasedClassifier:
         path's set iteration order is hash-dependent); consumers treat
         the tuple as a set.
         """
-        np = columnar.np
         labels, row_rejected = batch.resolve(self.policy.value)
         row_matched = batch.matched_any()
         instance_malicious = np.fromiter(

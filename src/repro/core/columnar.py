@@ -23,9 +23,11 @@ batch-scoring hot loop into a handful of NumPy broadcasts:
 
 The module deliberately imports nothing from :mod:`repro.core.classifier`
 (which imports it): conflict policies arrive as their plain value strings
-and decisions leave as small integer arrays.  The scalar path remains the
-reference implementation; ``tests/core/test_columnar.py`` proves
-decision-for-decision, count-for-count equivalence under every
+and decisions leave as small integer arrays.  The classifier's batch
+entry points always take this path unless :func:`rules_supported`
+rejects the rules; its per-instance ``classify`` walk is the reference
+``tests/core/test_columnar.py`` compares against, decision for decision
+and count for count, under every
 :class:`~repro.core.classifier.ConflictPolicy`.
 """
 
@@ -34,16 +36,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .dataset import AttributeKind, MALICIOUS_CLASS
 from .rules import Rule
-
-try:  # numpy is a de-facto hard dependency (the synth engine needs it),
-    # but the scalar path keeps working without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 #: Label codes produced by :func:`resolve_matches`.
 LABEL_NONE = -1
@@ -98,8 +94,6 @@ class FeatureCodec:
         (a :class:`ValueError` otherwise, which callers treat as "take
         the scalar path").
         """
-        if np is None:  # pragma: no cover - guarded by HAVE_NUMPY upstream
-            raise RuntimeError("FeatureCodec.encode_rows requires numpy")
         if self._width is None:
             self._width = len(rows[0]) if rows else 0
             self._vocabs = [{} for _ in range(self._width)]
@@ -294,8 +288,6 @@ class ColumnarRuleEvaluator:
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
-        if np is None:
-            raise RuntimeError("ColumnarRuleEvaluator requires numpy")
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.codec = FeatureCodec()
         self._compiled: Optional[CompiledRuleMasks] = None

@@ -215,24 +215,13 @@ def _bench_dataset_io(scale: float) -> BenchResult:
     )
 
 
-#: Scales at or below which the analysis bench also times the scalar
-#: oracle (one full pass of every analysis without the frame).  Above
-#: this the scalar pass would dominate the bench wall time -- the whole
-#: point of the columnar path -- so only the fast side is measured.
-ANALYSIS_SCALAR_MAX_SCALE = 0.05
-
-
 def _bench_analysis(scale: float) -> BenchResult:
     """Columnar frame build + every table/figure analysis over it.
 
     Measures the two halves of ``repro report --all`` separately: the
     one-time :class:`~repro.analysis.frame.SessionFrame` build (cache
     cleared first, so the span/counter fire) and a full pass of all
-    registered analyses running ``fast=True`` on the shared frame.  At
-    small scales (<= :data:`ANALYSIS_SCALAR_MAX_SCALE`) the same pass is
-    re-run ``fast=False`` against the scalar oracle and the speedup is
-    recorded in ``extra`` -- the number the ISSUE 8 acceptance gate
-    reads.  Without numpy the bench degrades to scalar-only.
+    registered analyses on the shared frame.
     """
     from .. import analysis
     from ..analysis import frame as frame_mod
@@ -244,56 +233,35 @@ def _bench_analysis(scale: float) -> BenchResult:
     labeled, alexa = session.labeled, session.alexa
     events = len(labeled.dataset.events)
 
-    def run_all(fast):
-        analysis.monthly_summary(labeled, fast=fast)
-        analysis.family_distribution(labeled, fast=fast)
-        analysis.type_breakdown(labeled, fast=fast)
-        analysis.prevalence_report(labeled, fast=fast)
-        analysis.domain_popularity(labeled, fast=fast)
-        analysis.files_per_domain(labeled, fast=fast)
-        analysis.domains_per_type(labeled, fast=fast)
-        analysis.unknown_download_domains(labeled, fast=fast)
-        analysis.alexa_rank_distribution(labeled, alexa, fast=fast)
-        analysis.signed_percentages(labeled, fast=fast)
-        analysis.signer_counts(labeled, fast=fast)
-        analysis.top_signers(labeled, fast=fast)
-        analysis.exclusive_signers(labeled, fast=fast)
-        analysis.shared_signer_scatter(labeled, fast=fast)
-        analysis.packer_report(labeled, fast=fast)
-        analysis.benign_process_behavior(labeled, fast=fast)
-        analysis.browser_behavior(labeled, fast=fast)
-        analysis.malicious_process_behavior(labeled, fast=fast)
-        analysis.unknown_download_processes(labeled, fast=fast)
-        analysis.infection_timing(labeled, fast=fast)
-        analysis.unknown_characteristics(labeled, fast=fast)
+    def run_all():
+        analysis.monthly_summary(labeled)
+        analysis.family_distribution(labeled)
+        analysis.type_breakdown(labeled)
+        analysis.prevalence_report(labeled)
+        analysis.domain_popularity(labeled)
+        analysis.files_per_domain(labeled)
+        analysis.domains_per_type(labeled)
+        analysis.unknown_download_domains(labeled)
+        analysis.alexa_rank_distribution(labeled, alexa)
+        analysis.signed_percentages(labeled)
+        analysis.signer_counts(labeled)
+        analysis.top_signers(labeled)
+        analysis.exclusive_signers(labeled)
+        analysis.shared_signer_scatter(labeled)
+        analysis.packer_report(labeled)
+        analysis.benign_process_behavior(labeled)
+        analysis.browser_behavior(labeled)
+        analysis.malicious_process_behavior(labeled)
+        analysis.unknown_download_processes(labeled)
+        analysis.infection_timing(labeled)
+        analysis.unknown_characteristics(labeled)
 
-    extra: Dict[str, Any] = {"events": events, "analyses": 21}
-    if frame_mod.HAVE_NUMPY:
-        frame_mod.clear_frame_cache()
-        build_wall, frame = _measure(
-            lambda: frame_mod.session_frame(labeled, alexa)
-        )
-        analyses_wall, _ = _measure(lambda: run_all(True), repeats=3)
-        wall = build_wall + analyses_wall
-        extra["frame_build_seconds"] = build_wall
-        extra["analyses_seconds"] = analyses_wall
-        extra["frame_mb"] = round(frame.nbytes() / 1e6, 3)
-        if scale <= ANALYSIS_SCALAR_MAX_SCALE:
-            scalar_wall, _ = _measure(lambda: run_all(False))
-            extra["scalar_seconds"] = scalar_wall
-            if analyses_wall:
-                # The analysis-path speedup: scalar pass vs the same
-                # pass on the (already built, session-shared) frame.
-                extra["speedup_vs_scalar"] = round(
-                    scalar_wall / analyses_wall, 2
-                )
-            if wall:
-                extra["speedup_including_build"] = round(
-                    scalar_wall / wall, 2
-                )
-    else:  # pragma: no cover - numpy is present in the dev image
-        wall, _ = _measure(lambda: run_all(False))
-        extra["scalar_only"] = True
+    frame_mod.clear_frame_cache()
+    build_wall, frame = _measure(
+        lambda: frame_mod.session_frame(labeled, alexa)
+    )
+    analyses_wall, _ = _measure(run_all, repeats=3)
+    wall = build_wall + analyses_wall
     return BenchResult(
         name="analysis",
         wall_seconds=wall,
@@ -302,7 +270,13 @@ def _bench_analysis(scale: float) -> BenchResult:
         throughput=events / wall if wall else None,
         throughput_units="events/s",
         params={"scale": scale},
-        extra=extra,
+        extra={
+            "events": events,
+            "analyses": 21,
+            "frame_build_seconds": build_wall,
+            "analyses_seconds": analyses_wall,
+            "frame_mb": round(frame.nbytes() / 1e6, 3),
+        },
     )
 
 

@@ -18,8 +18,15 @@ from .collector import (
     merge_sorted_streams,
 )
 from .dataset import TelemetryDataset
-from .io import load_dataset, save_dataset
-from .store import ReadStats, StoreError, StoreManifest, iter_events, read_manifest
+from .store import (
+    ReadStats,
+    StoreError,
+    StoreManifest,
+    iter_events,
+    load_dataset,
+    read_manifest,
+    save_dataset,
+)
 from .events import (
     COLLECTION_DAYS,
     MONTH_NAMES,

@@ -1,14 +1,15 @@
 """Versioned, checksummed, streaming on-disk dataset store.
 
-The naive JSONL exporter this module replaces (see
-:mod:`repro.telemetry.io`, now a thin compat shim) had three production
-bugs: non-atomic writes (a crash mid-save left a truncated
-``events.jsonl`` that later loaded *silently smaller*), a broken error
-contract (malformed rows escaped as bare ``TypeError`` with no
-file/line context) and silent last-wins deduplication of repeated
-``sha1`` rows.  The store fixes all three and adds the ingestion
-discipline a 3M-event corpus needs: chunking, compression, checksums
-and a streaming reader.
+The naive JSONL exporter this module replaced (the former
+``repro.telemetry.io``, whose ``save_dataset``/``load_dataset`` names
+and default layout this module keeps) had three production bugs:
+non-atomic writes (a crash mid-save left a truncated ``events.jsonl``
+that later loaded *silently smaller*), a broken error contract
+(malformed rows escaped as bare ``TypeError`` with no file/line
+context) and silent last-wins deduplication of repeated ``sha1`` rows.
+The store fixes all three and adds the ingestion discipline a
+3M-event corpus needs: chunking, compression, checksums and a
+streaming reader.
 
 Layout of a store directory::
 

@@ -1,18 +1,9 @@
 """Tests for the shared analysis helpers."""
 
-import pytest
-
-from repro.analysis.common import (
-    benign_process_shas,
-    cdf_points,
-    count_by,
-    files_downloaded_by,
-    first_download_events,
-    infected_machine_fraction,
-    machines_using,
-    top_n,
-)
+from repro.analysis.common import cdf_points, top_n
 from repro.labeling.labels import FileLabel
+
+from .scalar_reference import benign_process_shas
 
 
 class TestCdfPoints:
@@ -38,47 +29,10 @@ class TestTopN:
         assert top_n({"x": 1}, 10) == [("x", 1)]
 
 
-class TestCountBy:
-    def test_groups_distinct_values(self):
-        grouped = count_by([("a", 1), ("a", 1), ("a", 2), ("b", 3)])
-        assert grouped == {"a": {1, 2}, "b": {3}}
-
-
 class TestDatasetHelpers:
-    def test_first_download_events(self, small_session):
-        labeled = small_session.labeled
-        first = first_download_events(labeled)
-        assert set(first) == set(labeled.dataset.files)
-        for sha, event in list(first.items())[:100]:
-            assert event.file_sha1 == sha
-            assert event.timestamp == min(
-                e.timestamp for e in labeled.dataset.events_by_file[sha]
-            )
+    """The scalar oracle's process filter (``scalar_reference``)."""
 
     def test_benign_process_shas_labeled_benign(self, small_session):
         labeled = small_session.labeled
         for sha in benign_process_shas(labeled):
             assert labeled.process_labels[sha] == FileLabel.BENIGN
-
-    def test_files_downloaded_by_consistency(self, small_session):
-        labeled = small_session.labeled
-        benign = benign_process_shas(labeled)
-        downloaded = files_downloaded_by(labeled, benign)
-        for label, shas in downloaded.items():
-            for sha in list(shas)[:50]:
-                assert labeled.file_labels[sha] == label
-
-    def test_machines_using_subset_of_all(self, small_session):
-        labeled = small_session.labeled
-        benign = benign_process_shas(labeled)
-        machines = machines_using(labeled, benign)
-        assert machines <= labeled.dataset.machine_ids
-
-    def test_infected_fraction_bounded(self, small_session):
-        labeled = small_session.labeled
-        benign = benign_process_shas(labeled)
-        fraction = infected_machine_fraction(labeled, benign)
-        assert 0.0 <= fraction <= 1.0
-
-    def test_infected_fraction_empty_processes(self, small_session):
-        assert infected_machine_fraction(small_session.labeled, set()) == 0.0

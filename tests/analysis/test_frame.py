@@ -3,15 +3,14 @@
 Equivalence of the analysis outputs themselves is covered by
 ``test_frame_equivalence.py``; this module exercises the frame's own
 contract: vocabularies, sentinels, chunked vs unchunked builds,
-store-streamed vs in-memory builds, memoization and the Alexa side
-table.
+memoization and the Alexa side table.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.analysis import frame as frame_mod
 from repro.analysis.frame import (
     ABSENT,
     ALEXA_BUCKET_UNRANKED,
@@ -29,12 +28,6 @@ from repro.labeling.whitelists import AlexaService
 from repro.obs import metrics as obs_metrics
 from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.events import DownloadEvent, FileRecord, ProcessRecord
-
-pytestmark = pytest.mark.skipif(
-    not frame_mod.HAVE_NUMPY, reason="SessionFrame requires numpy"
-)
-
-np = frame_mod.np
 
 
 def _empty_labeled() -> LabeledDataset:
@@ -191,20 +184,6 @@ class TestBuildFrame:
     def test_chunk_rows_must_be_positive(self):
         with pytest.raises(ValueError):
             build_frame(_tiny_labeled(), chunk_rows=0)
-
-    def test_store_streamed_build_matches_in_memory(
-        self, small_session, tmp_path
-    ):
-        from repro.pipeline import export_session
-
-        directory = tmp_path / "store"
-        export_session(small_session, directory, chunk_rows=5000)
-        labeled = small_session.labeled
-        from_memory = build_frame(labeled)
-        from_store = build_frame(labeled, store_dir=directory)
-        assert from_store.source == "store"
-        assert from_memory.source == "labeled"
-        _frames_equal(from_memory, from_store)
 
 
 class TestSessionMemo:

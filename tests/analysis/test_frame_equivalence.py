@@ -1,17 +1,18 @@
-"""Scalar-vs-columnar equivalence for every analysis output.
+"""Columnar-vs-scalar equivalence for every analysis output.
 
-Each analysis function is run twice -- ``fast=False`` (the scalar
-reference implementation) and ``fast=True`` (the shared-frame columnar
-path) -- and the results must be *equal*, not just close: the fast
-paths replicate the scalar float expressions, median semantics and
-tie-breaking exactly.  Checked over the shared session fixtures and
-over randomized hand-built datasets that hit the corners the synthetic
-worlds do not (unlabeled table-only files, missing families, empty
-classes).
+Each table function of :mod:`repro.analysis` (the columnar product
+path) is run next to its same-named twin in :mod:`.scalar_reference`
+(the event-by-event oracle), and the results must be *equal*, not just
+close: the columnar code replicates the scalar float expressions,
+median semantics and tie-breaking exactly.  Checked over the shared
+session fixtures and over randomized hand-built datasets that hit the
+corners the synthetic worlds do not (unlabeled table-only files,
+missing families, empty classes).
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -30,63 +31,26 @@ from repro.telemetry.events import (
     ProcessRecord,
 )
 
-pytestmark = pytest.mark.skipif(
-    not frame_mod.HAVE_NUMPY, reason="SessionFrame requires numpy"
+from . import scalar_reference
+
+#: Modules whose exported functions build the frame or shape results
+#: rather than compute a paper table or figure.
+_INFRASTRUCTURE = {"repro.analysis.common", "repro.analysis.frame"}
+
+#: Every table/figure function ``repro.analysis`` exports -- one per
+#: output the reporting layer renders.
+ANALYSES = sorted(
+    name for name in analysis.__all__
+    if inspect.isfunction(getattr(analysis, name))
+    and getattr(analysis, name).__module__ not in _INFRASTRUCTURE
 )
 
-#: Every analysis function under equivalence test, as
-#: ``(name, callable(labeled, alexa, fast))`` pairs -- one entry per
-#: table/figure the reporting layer renders.
-ANALYSES = [
-    ("monthly_summary",
-     lambda lab, alexa, fast: analysis.monthly_summary(lab, fast=fast)),
-    ("family_distribution",
-     lambda lab, alexa, fast: analysis.family_distribution(lab, fast=fast)),
-    ("type_breakdown",
-     lambda lab, alexa, fast: analysis.type_breakdown(lab, fast=fast)),
-    ("prevalence_report",
-     lambda lab, alexa, fast: analysis.prevalence_report(lab, fast=fast)),
-    ("domain_popularity",
-     lambda lab, alexa, fast: analysis.domain_popularity(lab, fast=fast)),
-    ("files_per_domain",
-     lambda lab, alexa, fast: analysis.files_per_domain(lab, fast=fast)),
-    ("domains_per_type",
-     lambda lab, alexa, fast: analysis.domains_per_type(lab, fast=fast)),
-    ("unknown_download_domains",
-     lambda lab, alexa, fast: analysis.unknown_download_domains(
-         lab, fast=fast)),
-    ("alexa_rank_distribution",
-     lambda lab, alexa, fast: analysis.alexa_rank_distribution(
-         lab, alexa, fast=fast)),
-    ("signed_percentages",
-     lambda lab, alexa, fast: analysis.signed_percentages(lab, fast=fast)),
-    ("signer_counts",
-     lambda lab, alexa, fast: analysis.signer_counts(lab, fast=fast)),
-    ("top_signers",
-     lambda lab, alexa, fast: analysis.top_signers(lab, fast=fast)),
-    ("exclusive_signers",
-     lambda lab, alexa, fast: analysis.exclusive_signers(lab, fast=fast)),
-    ("shared_signer_scatter",
-     lambda lab, alexa, fast: analysis.shared_signer_scatter(lab, fast=fast)),
-    ("packer_report",
-     lambda lab, alexa, fast: analysis.packer_report(lab, fast=fast)),
-    ("benign_process_behavior",
-     lambda lab, alexa, fast: analysis.benign_process_behavior(
-         lab, fast=fast)),
-    ("browser_behavior",
-     lambda lab, alexa, fast: analysis.browser_behavior(lab, fast=fast)),
-    ("malicious_process_behavior",
-     lambda lab, alexa, fast: analysis.malicious_process_behavior(
-         lab, fast=fast)),
-    ("unknown_download_processes",
-     lambda lab, alexa, fast: analysis.unknown_download_processes(
-         lab, fast=fast)),
-    ("infection_timing",
-     lambda lab, alexa, fast: analysis.infection_timing(lab, fast=fast)),
-    ("unknown_characteristics",
-     lambda lab, alexa, fast: analysis.unknown_characteristics(
-         lab, fast=fast)),
-]
+
+def _args(function, labeled, alexa):
+    if "alexa" in inspect.signature(function).parameters:
+        return labeled, alexa
+    return (labeled,)
+
 
 _PROCESS_NAMES = (
     "chrome.exe", "firefox.exe", "opera.exe", "safari.exe",
@@ -199,12 +163,31 @@ def random_labeled(seed: int, n_files: int = 60, n_machines: int = 20,
 def assert_equivalent(labeled, alexa):
     frame_mod.clear_frame_cache()
     failures = []
-    for name, call in ANALYSES:
-        scalar = call(labeled, alexa, False)
-        fast = call(labeled, alexa, True)
-        if scalar != fast:
+    for name in ANALYSES:
+        product = getattr(analysis, name)
+        args = _args(product, labeled, alexa)
+        if product(*args) != getattr(scalar_reference, name)(*args):
             failures.append(name)
-    assert not failures, f"fast != scalar for: {', '.join(failures)}"
+    assert not failures, f"columnar != scalar for: {', '.join(failures)}"
+
+
+def _parameters(function):
+    return [
+        (parameter.name, parameter.default)
+        for parameter in inspect.signature(function).parameters.values()
+    ]
+
+
+class TestOracleCoverage:
+    def test_every_analysis_has_a_scalar_reference(self):
+        # A new table cannot ship without a reference, the oracle keeps
+        # no reference for a table that no longer exists, and each pair
+        # takes the same arguments with the same defaults.
+        assert ANALYSES == sorted(scalar_reference.__all__)
+        for name in ANALYSES:
+            assert _parameters(getattr(analysis, name)) == _parameters(
+                getattr(scalar_reference, name)
+            ), name
 
 
 class TestSessionEquivalence:

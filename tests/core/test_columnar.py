@@ -141,11 +141,10 @@ class TestRandomizedEquivalence:
         rng = random.Random(seed)
         rules = _random_rules(rng, rng.randint(1, 20))
         rows = _random_rows(rng, rng.randint(1, 120))
-        fast = RuleBasedClassifier(rules, policy)
-        scalar = RuleBasedClassifier(rules, policy, fast=False)
+        classifier = RuleBasedClassifier(rules, policy)
         _assert_same_decisions(
-            [scalar.classify(row) for row in rows],
-            fast.classify_batch(rows),
+            [classifier.classify(row) for row in rows],
+            classifier.classify_batch(rows),
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -243,10 +242,9 @@ class TestEdgeCases:
     def test_single_row_batch(self):
         rules = _random_rules(random.Random(6), 8)
         row = ("alpha", "beta", "gamma", "delta")
-        fast = RuleBasedClassifier(rules)
-        scalar = RuleBasedClassifier(rules, fast=False)
+        classifier = RuleBasedClassifier(rules)
         _assert_same_decisions(
-            [scalar.classify(row)], fast.classify_batch([row])
+            [classifier.classify(row)], classifier.classify_batch([row])
         )
         batch = ColumnarRuleEvaluator(rules.rules).match_rows([row])
         assert batch is not None
@@ -269,15 +267,14 @@ class TestEdgeCases:
         assert evaluator._compiled.codec_version == evaluator.codec.version
         # Same mid-session growth through the public classifier: the
         # second batch's decisions still equal the scalar path.
-        fast = RuleBasedClassifier(rules)
-        scalar = RuleBasedClassifier(rules, fast=False)
+        classifier = RuleBasedClassifier(rules)
         _assert_same_decisions(
-            [scalar.classify(row) for row in first_rows],
-            fast.classify_batch(first_rows),
+            [classifier.classify(row) for row in first_rows],
+            classifier.classify_batch(first_rows),
         )
         _assert_same_decisions(
-            [scalar.classify(row) for row in new_rows],
-            fast.classify_batch(new_rows),
+            [classifier.classify(row) for row in new_rows],
+            classifier.classify_batch(new_rows),
         )
 
 
@@ -312,14 +309,13 @@ class TestRealDataEquivalence:
         )
         unknown_rows = [vector.values for vector in unknowns.values()]
         classifier = RuleBasedClassifier(selected, policy)
-        scalar = RuleBasedClassifier(selected, policy, fast=False)
         assert test_set.instances, "fixture must produce a test set"
         _assert_same_evaluation(
             classifier.evaluate_scalar(test_set.instances),
             classifier.evaluate(test_set.instances),
         )
         _assert_same_decisions(
-            [scalar.classify(row) for row in unknown_rows],
+            [classifier.classify(row) for row in unknown_rows],
             classifier.classify_batch(unknown_rows),
         )
 

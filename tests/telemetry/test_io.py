@@ -1,4 +1,4 @@
-"""Tests for dataset JSONL serialization (the legacy compat shim)."""
+"""Tests for the store's default save/load path (the legacy JSONL layout)."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.events import DownloadEvent, FileRecord, ProcessRecord
-from repro.telemetry.io import load_dataset, save_dataset
+from repro.telemetry.store import load_dataset, save_dataset
 
 F1 = "1" * 40
 P1 = "p" * 40

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.telemetry.io import load_dataset
+from repro.telemetry.store import load_dataset
 
 SCALE = ["--scale", "0.002", "--seed", "3"]
 
