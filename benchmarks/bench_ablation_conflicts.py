@@ -31,7 +31,7 @@ def _sweep(rules, test_set, unknowns):
     return results
 
 
-def test_ablation_conflicts(benchmark, session):
+def test_ablation_conflicts(session):
     labeled = session.labeled
     rules, training = learn_rules(labeled, session.alexa, 0)
     train_shas = {i.sha1 for i in training.instances}
@@ -42,7 +42,7 @@ def test_ablation_conflicts(benchmark, session):
         labeled.month_slice(1), session.alexa,
         exclude_sha1s=set(labeled.month_slice(0).dataset.files),
     )
-    results = benchmark(_sweep, rules, test_set, unknowns)
+    results = _sweep(rules, test_set, unknowns)
     rows = []
     for policy, (evaluation, labeled_count, rejected, decided) in (
         results.items()

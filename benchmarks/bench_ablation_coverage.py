@@ -19,14 +19,14 @@ def _sweep(rules, test_set):
     return rows
 
 
-def test_ablation_coverage(benchmark, session):
+def test_ablation_coverage(session):
     labeled = session.labeled
     rules, training = learn_rules(labeled, session.alexa, 0)
     train_shas = {i.sha1 for i in training.instances}
     test_set = TrainingSet.from_labeled(
         labeled.month_slice(1), session.alexa, exclude_sha1s=train_shas
     )
-    rows = benchmark(_sweep, rules, test_set)
+    rows = _sweep(rules, test_set)
     table = render_table(
         ["min coverage", "# rules", "TP", "FP", "matched"],
         [

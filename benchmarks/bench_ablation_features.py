@@ -47,7 +47,7 @@ def _sweep(training, test_set):
     return rows
 
 
-def test_ablation_features(benchmark, session):
+def test_ablation_features(session):
     labeled = session.labeled
     training = TrainingSet.from_labeled(
         labeled.month_slice(0), session.alexa
@@ -56,7 +56,7 @@ def test_ablation_features(benchmark, session):
     test_set = TrainingSet.from_labeled(
         labeled.month_slice(1), session.alexa, exclude_sha1s=train_shas
     )
-    rows = benchmark(_sweep, training, test_set)
+    rows = _sweep(training, test_set)
     table = render_table(
         ["Removed feature", "# rules", "TP", "FP", "matched malicious"],
         [

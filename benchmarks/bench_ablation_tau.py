@@ -10,7 +10,7 @@ from .common import save_artifact
 TAUS = (0.0, 0.001, 0.005, 0.01, 0.05)
 
 
-def _sweep(session, rules, test_set, unknowns):
+def _sweep(rules, test_set, unknowns):
     unknown_rows = [vector.values for vector in unknowns.values()]
     rows = []
     for tau in TAUS:
@@ -25,7 +25,7 @@ def _sweep(session, rules, test_set, unknowns):
     return rows
 
 
-def test_ablation_tau(benchmark, session):
+def test_ablation_tau(session):
     labeled = session.labeled
     rules, training = learn_rules(labeled, session.alexa, 0)
     train_shas = {i.sha1 for i in training.instances}
@@ -36,7 +36,7 @@ def test_ablation_tau(benchmark, session):
         labeled.month_slice(1), session.alexa,
         exclude_sha1s=set(labeled.month_slice(0).dataset.files),
     )
-    rows = benchmark(_sweep, session, rules, test_set, unknowns)
+    rows = _sweep(rules, test_set, unknowns)
     table = render_table(
         ["tau", "# rules", "TP", "FP", "unknowns matched"],
         [

@@ -34,7 +34,7 @@ def _tree_metrics(tree, instances):
     )
 
 
-def test_baseline_tree(benchmark, session):
+def test_baseline_tree(session):
     labeled = session.labeled
     training = TrainingSet.from_labeled(labeled.month_slice(0), session.alexa)
     train_shas = {i.sha1 for i in training.instances}
@@ -42,9 +42,7 @@ def test_baseline_tree(benchmark, session):
         labeled.month_slice(1), session.alexa, exclude_sha1s=train_shas
     )
 
-    tree = benchmark(
-        lambda: DecisionTree(training.schema).fit(training.instances)
-    )
+    tree = DecisionTree(training.schema).fit(training.instances)
     tree_tp, tree_fp, tree_total = _tree_metrics(tree, test_set.instances)
 
     rules, _ = learn_rules(labeled, session.alexa, 0)

@@ -32,10 +32,8 @@ def _compare(session):
     }
 
 
-def test_baselines_by_prevalence(benchmark, session):
-    results = benchmark.pedantic(
-        _compare, args=(session,), rounds=1, iterations=1
-    )
+def test_baselines_by_prevalence(session):
+    results = _compare(session)
     rows = []
     for name, buckets in results.items():
         for bucket in buckets:

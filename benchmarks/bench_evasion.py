@@ -30,7 +30,7 @@ def _benign_exclusive_signers(session):
     return [name for name, _ in exclusive_signers(session.labeled).benign]
 
 
-def _sweep(session, classifier, vectors, benign_signers):
+def _sweep(classifier, vectors, benign_signers):
     rng = np.random.default_rng(99)
     scenarios = {
         "original": vectors,
@@ -47,14 +47,12 @@ def _sweep(session, classifier, vectors, benign_signers):
     }
 
 
-def test_evasion(benchmark, session):
+def test_evasion(session):
     rules, _ = learn_rules(session.labeled, session.alexa, 0)
     classifier = RuleBasedClassifier(rules.select(0.001))
     vectors = _malicious_test_vectors(session)
     benign_signers = _benign_exclusive_signers(session)
-    results = benchmark(
-        _sweep, session, classifier, vectors, benign_signers
-    )
+    results = _sweep(classifier, vectors, benign_signers)
     table = render_table(
         ["Attack", "matched", "labeled malicious", "rejected"],
         [

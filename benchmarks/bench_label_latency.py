@@ -32,10 +32,8 @@ def _sweep(session):
     return results
 
 
-def test_label_latency(benchmark, session):
-    results = benchmark.pedantic(
-        _sweep, args=(session,), rounds=1, iterations=1
-    )
+def test_label_latency(session):
+    results = _sweep(session)
     rows = [
         [
             f"{day:.0f}",

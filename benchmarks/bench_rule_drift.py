@@ -20,10 +20,8 @@ def _monthly_rulesets(session):
     ]
 
 
-def test_rule_drift(benchmark, session):
-    rulesets = benchmark.pedantic(
-        _monthly_rulesets, args=(session,), rounds=1, iterations=1
-    )
+def test_rule_drift(session):
+    rulesets = _monthly_rulesets(session)
     series = drift_series(rulesets)
     rows = [
         [

@@ -17,8 +17,8 @@ def _insights(session, evaluation):
     return usage, expansion, latent
 
 
-def test_rule_insights(benchmark, session, evaluation):
-    usage, expansion, latent = benchmark(_insights, session, evaluation)
+def test_rule_insights(session, evaluation):
+    usage, expansion, latent = _insights(session, evaluation)
     assert usage["file_signer"] == max(usage.values())
 
     usage_table = render_table(

@@ -33,10 +33,8 @@ def _sweep(seed, scale):
     return rows
 
 
-def test_sigma_sweep(benchmark, session):
-    rows = benchmark.pedantic(
-        _sweep, args=(11, 0.004), rounds=1, iterations=1
-    )
+def test_sigma_sweep():
+    rows = _sweep(11, 0.004)
     table = render_table(
         ["sigma", "reported events", "dropped (over sigma)",
          "files at cap", "max observed prevalence"],

@@ -1,87 +1,15 @@
-"""Helpers shared by the benchmark files.
-
-Every bench that records numbers goes through
-:func:`write_bench_result`, so each ``BENCH_*.json`` under
-``benchmarks/output/`` carries the same envelope -- schema version,
-bench name, timestamp, git revision -- and an optional run manifest
-alongside.  The trajectory/regression story built on top of these
-records lives in :mod:`repro.obs.regress` (``repro bench --check``).
-
-Perf bars use :func:`assert_floor` / :func:`assert_ceiling` so the
-failure messages read the same across benches.
-"""
+"""Helpers shared by the experiment files."""
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
-from typing import Any, Dict, Optional
 
-from repro.obs.manifest import build_manifest, git_revision
-
-#: Where rendered tables/figures and BENCH records are written.
+#: Where the rendered experiment tables are written.
 OUTPUT_DIR = Path(__file__).parent / "output"
-
-#: Version of the shared BENCH_*.json envelope.
-BENCH_SCHEMA_VERSION = 1
 
 
 def save_artifact(name: str, text: str) -> None:
-    """Write one reproduced table/figure under ``benchmarks/output/``."""
+    """Write one rendered experiment table under ``benchmarks/output/``."""
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def write_bench_result(
-    name: str,
-    payload: Dict[str, Any],
-    config: Optional[Any] = None,
-    wall_seconds: Optional[float] = None,
-    manifest: bool = False,
-) -> Path:
-    """Write ``benchmarks/output/BENCH_<name>.json`` in the shared envelope.
-
-    ``payload`` is the bench's own measurements; the envelope adds
-    ``schema_version``, ``bench``, ``created_at`` and ``git_rev`` so
-    downstream tooling can compare records across runs.  With
-    ``manifest=True`` a ``BENCH_<name>.manifest.json`` run manifest
-    (:mod:`repro.obs.manifest`) is written alongside, binding the
-    numbers to the world ``config`` that produced them.
-    """
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    record: Dict[str, Any] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": name,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
-        "git_rev": git_revision(),
-    }
-    record.update(payload)
-    path = OUTPUT_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    if manifest:
-        build_manifest(
-            command=f"bench_{name}",
-            config=config,
-            wall_seconds=wall_seconds if wall_seconds is not None else 0.0,
-        ).write(OUTPUT_DIR / f"BENCH_{name}.manifest.json")
-    return path
-
-
-def assert_floor(metric: str, value: float, floor: float,
-                 units: str = "", detail: str = "") -> None:
-    """Assert ``value >= floor`` with a uniform perf-bar message."""
-    assert value >= floor, (
-        f"{metric} {value:.4g}{units} is below the floor {floor:.4g}{units}"
-        + (f" ({detail})" if detail else "")
-    )
-
-
-def assert_ceiling(metric: str, value: float, ceiling: float,
-                   units: str = "", detail: str = "") -> None:
-    """Assert ``value <= ceiling`` with a uniform perf-bar message."""
-    assert value <= ceiling, (
-        f"{metric} {value:.4g}{units} exceeds the ceiling "
-        f"{ceiling:.4g}{units}" + (f" ({detail})" if detail else "")
-    )

@@ -1,13 +1,14 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures for the beyond-the-paper experiments.
 
-The bench suite reproduces every paper table/figure on one shared
-synthetic corpus (``scale=0.02`` by default -- ~23k machines / ~65k
-events).  Set ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_SEED`` to override.
-
-Each benchmark times the *analysis* computation (world generation is a
-separate bench) and writes the rendered table/figure to
-``benchmarks/output/<name>.txt`` so the reproduced artifacts can be
-compared against the paper side by side.
+Every experiment here (ablations, baselines, evasion, label latency,
+rule drift, rule insights, the sigma sweep) computes something the CLI
+does not render.  Each runs its computation once on one shared synthetic
+corpus (``scale=0.02``, seed 7 by default -- ~22k machines / ~70k
+events; override with ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_SEED``),
+asserts the qualitative finding, and writes the rendered table to
+``benchmarks/output/<name>.txt``.  The paper's own tables come from
+``repro report --all``, ``repro evaluate`` and ``repro validate``;
+timing belongs to ``repro bench``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 
 @pytest.fixture(scope="session")
 def session():
-    """The shared synthetic corpus all benches analyze."""
+    """The shared synthetic corpus all experiments analyze."""
     return build_session(WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE))
-
-
-@pytest.fixture(scope="session")
-def labeled(session):
-    return session.labeled
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Fourteen subcommands cover the common workflows::
+Fifteen subcommands cover the common workflows::
 
     python -m repro.cli generate --scale 0.01 --out corpus/
     python -m repro.cli export   --scale 0.01 --out store/ --compress \
@@ -14,8 +14,9 @@ Fourteen subcommands cover the common workflows::
     python -m repro.cli stats    --scale 0.01
     python -m repro.cli validate --scale 0.02 --seeds 3 \
         --report-out fidelity_report.json
-    python -m repro.cli profile  run --scale 0.01
+    python -m repro.cli profile  --out run.collapsed run --scale 0.01
     python -m repro.cli bench    --check --quick
+    python -m repro.cli trials   --scale 0.003 --jobs-list 1,2
     python -m repro.cli serve    --scale 0.01 --out serve-store/ \
         --agents 4 --lifecycle
     python -m repro.cli loadgen  --scale 0.01 --out serve-store/ \
@@ -36,19 +37,20 @@ fidelity gate (:mod:`repro.validation`) -- it sweeps worlds across
 seeds, tests every calibration target, prints the verdict table,
 optionally writes the machine-readable report, and exits non-zero when
 the gate fails; ``profile`` wraps any other subcommand in the sampling
-profiler (:mod:`repro.obs.profile`); ``bench`` runs the registered
-perf benches, appends to the BENCH trajectory and -- with ``--check``
--- gates the run against the trajectory median
-(:mod:`repro.obs.regress`).
+profiler (:mod:`repro.obs.profile`) -- the top-N self-time table goes
+to stderr and ``--out PATH`` also writes collapsed flamegraph stacks;
+``bench`` runs the registered perf benches, appends to the BENCH
+trajectory and -- with ``--check`` -- gates the run against the
+trajectory median (:mod:`repro.obs.regress`); ``trials`` sweeps jobs and
+memory budgets and fails unless every configuration yields the same
+dataset digest; ``avtype`` is the standalone behavior-type extractor.
 
 Every world-building subcommand accepts ``--trace`` (print the span
 tree after the run), ``--resources`` (per-span RSS/CPU/GC attributes
 plus ``proc.*`` metrics, see :mod:`repro.obs.resources`) and
 ``--metrics-out PATH`` (write the metrics snapshot -- JSON, or
 Prometheus text for ``.prom``/``.txt`` paths -- plus a
-``<stem>.manifest.json`` run manifest alongside it); ``run``,
-``evaluate`` and ``validate`` additionally accept ``--profile-out PATH``
-(collapsed flamegraph stacks to PATH, top-N self-time table to stderr).
+``<stem>.manifest.json`` run manifest alongside it).
 """
 
 from __future__ import annotations
@@ -134,17 +136,6 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write the metrics snapshot here (JSON, or "
                              "Prometheus text for .prom/.txt paths) plus a "
                              "<stem>.manifest.json run manifest alongside")
-
-
-def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile-out", metavar="PATH",
-                        help="sample the run and write collapsed "
-                             "(flamegraph-ready) stacks here; the top "
-                             "self-time table goes to stderr")
-    parser.add_argument("--profile-hz", type=int,
-                        default=obs_profile.DEFAULT_HZ, metavar="HZ",
-                        help=f"profiler sampling rate (default "
-                             f"{obs_profile.DEFAULT_HZ})")
 
 
 def _world_config(args: argparse.Namespace) -> Optional[WorldConfig]:
@@ -482,7 +473,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Wrap any other subcommand in the sampling profiler."""
+    """Run any other subcommand under the sampling profiler.
+
+    The top self-time table goes to stderr; with ``--out`` the collapsed
+    (flamegraph-ready) stacks are written there too.
+    """
     rest = list(args.rest)
     if rest and rest[0] == "--":
         rest = rest[1:]
@@ -494,10 +489,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("profile: cannot profile the profiler", file=sys.stderr)
         return 2
     inner = build_parser().parse_args(rest)
-    inner.profile_out = getattr(inner, "profile_out", None) or args.out
-    inner.profile_hz = args.hz
-    inner.profile_force = True
-    return _dispatch(inner)
+    profiler = obs_profile.SamplingProfiler(hz=args.hz)
+    profiler.start()
+    try:
+        status = _dispatch(inner)
+    finally:
+        profiler.stop()
+    if args.out:
+        path = profiler.write_collapsed(Path(args.out))
+        print(f"wrote {profiler.sample_count} profile samples "
+              f"(collapsed stacks) to {path}", file=sys.stderr)
+    print("\n# profile (top self-time)", file=sys.stderr)
+    print(profiler.render_top(), file=sys.stderr)
+    return status
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -822,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--tau", type=float, nargs="*", default=[0.0, 0.001],
                           help="error thresholds (default: 0.0 0.001)")
     evaluate.add_argument("--out", help="optional output directory")
-    _add_profile_arguments(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     run = commands.add_parser(
@@ -835,7 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="0-based training month (default 0 = January)")
     run.add_argument("--tau", type=float, default=0.001,
                      help="max rule training error rate (default 0.001)")
-    _add_profile_arguments(run)
     run.set_defaults(func=_cmd_run)
 
     validate = commands.add_parser(
@@ -857,7 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--quantile", type=float, default=0.5,
                           help="sweep aggregation quantile (default 0.5 = "
                                "median across seeds)")
-    _add_profile_arguments(validate)
     validate.set_defaults(func=_cmd_validate)
 
     stats = commands.add_parser(
@@ -1038,27 +1039,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         previous_budget = sched.set_default_budget(
             sched.StageBudget(memory_mb=budget_mb)
         )
-    profile_out = getattr(args, "profile_out", None)
-    profiler: Optional[obs_profile.SamplingProfiler] = None
-    if profile_out or getattr(args, "profile_force", False):
-        profiler = obs_profile.SamplingProfiler(
-            hz=getattr(args, "profile_hz", obs_profile.DEFAULT_HZ)
-        )
-        profiler.start()
     start = time.perf_counter()
     try:
         status = args.func(args)
-        if profiler is not None:
-            profiler.stop()
-            if profile_out:
-                path = profiler.write_collapsed(Path(profile_out))
-                print(
-                    f"wrote {profiler.sample_count} profile samples "
-                    f"(collapsed stacks) to {path}",
-                    file=sys.stderr,
-                )
-            print("\n# profile (top self-time)", file=sys.stderr)
-            print(profiler.render_top(), file=sys.stderr)
         # Status 1 is a *verdict* (the validate gate failing), not a
         # usage error: its metrics and manifest still matter, e.g. for
         # CI archiving the artifacts of a failed fidelity run.
@@ -1067,8 +1050,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args, wall_seconds=time.perf_counter() - start
             )
     finally:
-        if profiler is not None:
-            profiler.stop()
         if previous_budget is not None:
             from . import sched
 

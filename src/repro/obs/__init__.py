@@ -15,8 +15,7 @@ Dependency-free building blocks, all stdlib + ``/proc``:
 * :mod:`repro.obs.resources` -- opt-in per-span RSS/CPU/GC accounting
   read from ``/proc/self`` and ``getrusage`` (``--resources``);
 * :mod:`repro.obs.profile` -- a sampling profiler with collapsed-stack
-  (flamegraph-ready) and top-N exporters (``--profile-out``,
-  ``repro profile``);
+  (flamegraph-ready) and top-N exporters (``repro profile``);
 * :mod:`repro.obs.regress` -- the bench trajectory + perf-regression
   gate behind ``repro bench --check``;
 * :mod:`repro.obs.manifest` -- the provenance record (config digest,

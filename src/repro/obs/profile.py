@@ -16,9 +16,9 @@ Two exporters:
   per-function self/total sample counts and estimated seconds, the
   quick "where did the time go" table.
 
-CLI surface: ``--profile-out PATH`` on ``run``/``evaluate``/``validate``
-writes the collapsed stacks to ``PATH`` and prints the top table to
-stderr; ``repro profile <command ...>`` wraps any other subcommand.
+CLI surface: ``repro profile [--out PATH] [--hz N] <command ...>`` runs
+any other subcommand under the profiler, prints the top table to stderr
+and, with ``--out``, writes the collapsed stacks to ``PATH``.
 
 By default only the thread that called :meth:`start` is sampled (the
 pipeline is single-threaded per process; worker *processes* are invisible

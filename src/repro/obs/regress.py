@@ -1,16 +1,16 @@
 """Bench trajectory recording and the perf-regression gate.
 
-The repo's ``BENCH_*.json`` files were historically write-only: every
-run overwrote the last, and nothing noticed when a PR regressed them.
-This module gives them a memory and a gate:
+This is the repo's one timing harness (``repro bench``); the paper's
+tables come from the CLI, and the experiment scripts under
+``benchmarks/`` render tables without timing them.  It has three parts:
 
 * a small registry of **in-process benches** (:data:`BENCHES`) that
   exercise the pipeline's hot paths -- cold world generation, columnar
-  rule matching, dataset-store I/O, the shared-frame analysis pass --
-  each returning a
-  :class:`BenchResult` with wall time, per-bench peak RSS (the kernel
-  watermark is reset around each bench via
-  :func:`repro.obs.resources.reset_peak_rss`) and a throughput figure;
+  rule matching, dataset-store I/O, the shared-frame analysis pass and
+  the streaming ingest service -- each returning a :class:`BenchResult`
+  with wall time, per-bench peak RSS (the kernel watermark is reset
+  around each bench via :func:`repro.obs.resources.reset_peak_rss`) and
+  a throughput figure;
 * a **trajectory file** (``benchmarks/output/BENCH_trajectory.json``)
   of schema-versioned entries -- git revision, timestamp, params,
   timings -- appended to by every ``repro bench`` run, so the numbers
@@ -67,8 +67,8 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "peak_rss_kb": 0.15,
 }
 
-#: Bench scales: ``--quick`` is CI-sized, the default exercises the
-#: same corpus the committed BENCH files use.
+#: Bench scales: ``--quick`` is CI-sized, the default is five times
+#: larger.
 QUICK_SCALE = 0.002
 DEFAULT_SCALE = 0.01
 

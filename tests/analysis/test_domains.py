@@ -97,6 +97,8 @@ class TestAlexaRanks:
         )
 
     def test_ranks_sorted_and_positive(self, distribution):
+        assert distribution.ranks[FileLabel.BENIGN]
+        assert distribution.ranks[FileLabel.MALICIOUS]
         for ranks in distribution.ranks.values():
             assert ranks == sorted(ranks)
             assert all(rank >= 1 for rank in ranks)

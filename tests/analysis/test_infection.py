@@ -26,6 +26,11 @@ class TestInfectionTiming:
         for source in ("benign", "adware", "pup"):
             assert dropper_day0 > report.fraction_within(source, 0.99)
 
+    def test_dropper_faster_than_benign_within_five_days(self, report):
+        assert report.fraction_within("dropper", 5) > (
+            report.fraction_within("benign", 5)
+        )
+
     def test_adware_pup_faster_than_benign_early(self, report):
         benign_day0 = report.fraction_within("benign", 0.99)
         assert report.fraction_within("adware", 0.99) > benign_day0

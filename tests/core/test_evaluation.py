@@ -22,6 +22,13 @@ class TestMonthPair:
     def test_two_tau_settings(self, one_pair):
         assert [run.evaluation.tau for run in one_pair] == [0.0, 0.001]
 
+    def test_january_window_learns_rules(self, medium_session):
+        rules, training = learn_rules(
+            medium_session.labeled, medium_session.alexa, 0
+        )
+        assert len(rules) > 10
+        assert len(training) > 100
+
     def test_train_test_intersection_empty(self, medium_session):
         labeled = medium_session.labeled
         rules, training = learn_rules(labeled, medium_session.alexa, 0)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -99,7 +100,6 @@ class TestReport:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_all_builds_frame_exactly_once(self, capsys):
-        pytest.importorskip("numpy")
         from repro.analysis.frame import clear_frame_cache
         from repro.obs import metrics as obs_metrics
 
@@ -210,16 +210,19 @@ class TestRun:
         assert "# TYPE" in text
         assert "labeler_files_labeled_total" in text
 
-    def test_pooled_run_merges_both_fanouts(self, capsys):
+    def test_pooled_run_merges_both_fanouts(self, tmp_path, capsys):
         # The acceptance shape for the cross-process tracer: one merged
         # span tree holding worker-tagged spans from BOTH pool sites
-        # (shard generation and month-pair evaluation).
+        # (shard generation and month-pair evaluation), under a memory
+        # budget, resource accounting and the sampling profiler.
+        collapsed = tmp_path / "run.collapsed"
         assert main(
-            ["run", *SCALE, "--no-cache", "--trace",
-             "--shards", "2", "--jobs", "2"]
+            ["profile", "--out", str(collapsed),
+             "run", *SCALE, "--no-cache", "--trace", "--resources",
+             "--shards", "2", "--jobs", "2", "--memory-budget-mb", "64"]
         ) == 0
-        output = capsys.readouterr().out
-        tree = output.split("# trace", 1)[1]
+        captured = capsys.readouterr()
+        tree = captured.out.split("# trace", 1)[1]
         shard_lines = [line for line in tree.splitlines()
                        if "synth.shard" in line]
         pair_lines = [line for line in tree.splitlines()
@@ -228,6 +231,10 @@ class TestRun:
         assert len(pair_lines) == 6
         assert all("worker=" in line for line in shard_lines)
         assert all("worker=" in line for line in pair_lines)
+        assert "sched_workers=" in tree
+        assert "rss_peak_kb=" in tree
+        assert collapsed.read_text().strip()
+        assert "# profile (top self-time)" in captured.err
 
 
 class TestStats:
@@ -238,3 +245,36 @@ class TestStats:
         assert "# trace" in output
         assert "pipeline.build_session" in output
         assert "collector.events_reported" in output
+
+
+class TestLoadgen:
+    def test_fault_injected_stream_matches_batch(self, tmp_path, capsys):
+        assert main(
+            ["loadgen", *SCALE, "--out", str(tmp_path / "store"),
+             "--agents", "3", "--batch-max", "256", "--poison-every", "500",
+             "--check"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "equivalence: OK" in output
+        assert "p99_ingest_latency=" in output
+        assert int(re.search(r"poisoned=(\d+)", output).group(1)) > 0
+
+    def test_resume_after_crash_matches_batch(self, tmp_path, capsys):
+        command = ["loadgen", *SCALE, "--out", str(tmp_path / "store"),
+                   "--inline", "--batch-max", "200"]
+        assert main([*command, "--crash-after-parts", "2"]) == 1
+        capsys.readouterr()
+        assert main([*command, "--resume", "--check"]) == 0
+        output = capsys.readouterr().out
+        assert "equivalence: OK" in output
+        assert int(re.search(r"resumed_from=(\d+)", output).group(1)) >= 1
+
+
+class TestTrials:
+    def test_jobs_and_budgets_keep_the_digest(self, capsys):
+        assert main(
+            ["trials", "--scale", "0.003", "--seed", "3", "--shards", "4",
+             "--jobs-list", "1,2", "--memory-budgets-mb", "none,64",
+             "--no-append"]
+        ) == 0
+        assert "digests_consistent=True" in capsys.readouterr().out
