@@ -36,7 +36,7 @@ def _sweep(training, test_set):
         else:
             index = FEATURE_NAMES.index(knockout)
             schema = tuple(
-                spec for spec in training.schema if spec.name != knockout
+                name for name in training.schema if name != knockout
             )
             train_instances = _knockout_instances(training.instances, index)
             test_instances = _knockout_instances(test_set.instances, index)

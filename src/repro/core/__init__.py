@@ -19,8 +19,6 @@ from .dataset import (
     CLASSES,
     MALICIOUS_CLASS,
     TABLE_XV_SCHEMA,
-    AttributeKind,
-    AttributeSpec,
     Instance,
     TrainingSet,
     unknown_vectors,
@@ -81,8 +79,6 @@ __all__ = [
     "TABLE_XV_SCHEMA",
     "UNPACKED",
     "UNSIGNED",
-    "AttributeKind",
-    "AttributeSpec",
     "ColumnarRuleEvaluator",
     "Condition",
     "ConflictPolicy",

@@ -14,12 +14,10 @@ Two execution paths produce identical decisions:
   reference the columnar path is tested against;
 * the **columnar path** (:mod:`repro.core.columnar`) -- taken by
   :meth:`RuleBasedClassifier.classify_batch` and
-  :meth:`RuleBasedClassifier.evaluate` whenever every condition is a
-  categorical equality: feature values are interned to integer codes,
-  rules compile to per-feature allowed-code masks, and identical
-  feature tuples are deduplicated (``np.unique``) so each distinct
-  tuple is resolved once.  Rule sets with numeric conditions, which
-  the masks cannot represent, fall back to the per-instance walk.
+  :meth:`RuleBasedClassifier.evaluate`: feature values are interned to
+  integer codes, rules compile to per-feature allowed-code masks, and
+  identical feature tuples are deduplicated (``np.unique``) so each
+  distinct tuple is resolved once.
 """
 
 from __future__ import annotations
@@ -133,8 +131,8 @@ _LABEL_FROM_CODE = {
 class RuleBasedClassifier:
     """Applies a selected rule set with a conflict policy.
 
-    Batch entry points run on the columnar path when the rules allow it
-    (see the module docstring); it is decision-for-decision identical to
+    Batch entry points run on the columnar path (see the module
+    docstring); it is decision-for-decision identical to
     :meth:`classify` (property-tested).  The rule set is snapshotted by
     the columnar path on the first batch call; mutating ``rules``
     afterwards requires a fresh classifier.
@@ -177,10 +175,9 @@ class RuleBasedClassifier:
             label=ranked[0][0], matched_rules=matched, rejected=False
         )
 
-    def _match_batch(
-        self, rows: Sequence[Sequence]
-    ) -> Optional[columnar.MatchedBatch]:
-        """Columnar match for a batch, or ``None`` -> scalar fallback."""
+    def _match_batch(self, rows: Sequence[Sequence]) -> columnar.MatchedBatch:
+        """Columnar match for a batch (see :meth:`ColumnarRuleEvaluator
+        .match_rows` for the :class:`ValueError` cases)."""
         if self._evaluator is None:
             self._evaluator = columnar.ColumnarRuleEvaluator(self.rules.rules)
         return self._evaluator.match_rows(rows)
@@ -189,14 +186,11 @@ class RuleBasedClassifier:
         """Classify many feature-value tuples at once.
 
         Returns one :class:`Decision` per row, in order, identical to
-        calling :meth:`classify` on each row.  On the fast path each
-        distinct feature tuple is resolved once and its decision shared
-        by every duplicate row.
+        calling :meth:`classify` on each row.  Each distinct feature
+        tuple is resolved once and its decision shared by every
+        duplicate row.
         """
-        rows = list(rows)
-        batch = self._match_batch(rows)
-        if batch is None:
-            return [self.classify(values) for values in rows]
+        batch = self._match_batch(list(rows))
         _record_fast_path_metrics(batch)
         labels, rejected = batch.unique_resolve(self.policy.value)
         evaluator_rules = self._evaluator.rules
@@ -217,85 +211,32 @@ class RuleBasedClassifier:
         """TP/FP evaluation over labeled instances.
 
         Following Section VI-D, rates are computed only over samples that
-        match at least one rule and are not rejected.  Uses the columnar
-        path when the rules allow it (see the module docstring); aggregate
-        counts feed the metrics registry once per call -- the inner
-        matching loops stay uninstrumented.
+        match at least one rule and are not rejected.  Aggregate counts
+        feed the metrics registry once per call -- the inner matching
+        loops stay uninstrumented.
         """
         with trace.span(
             "core.classifier_evaluate",
             instances=len(instances),
             rules=len(self.rules),
         ) as span:
-            batch = (
-                self._match_batch([inst.values for inst in instances])
-                if instances else None
-            )
-            span.set_attribute("fast_path", batch is not None)
-            if batch is None:
-                result = self._evaluate(instances)
-            else:
-                span.set_attribute("unique_rows", batch.n_unique)
-                _record_fast_path_metrics(batch)
-                result = self._evaluate_batch(instances, batch)
+            batch = self._match_batch([inst.values for inst in instances])
+            span.set_attribute("unique_rows", batch.n_unique)
+            _record_fast_path_metrics(batch)
+            result = self._evaluate_batch(instances, batch)
         record_decision_metrics(len(instances), result.rejected)
         return result
-
-    def evaluate_scalar(self, instances: Sequence[Instance]) -> EvaluationResult:
-        """The scalar reference evaluation (no counters, no columnar path).
-
-        Kept public so equivalence tests and benchmarks can pin the
-        per-instance baseline.
-        """
-        return self._evaluate(instances)
-
-    def _evaluate(self, instances: Sequence[Instance]) -> EvaluationResult:
-        malicious_matched = 0
-        true_positives = 0
-        benign_matched = 0
-        false_positives = 0
-        rejected = 0
-        unmatched = 0
-        fp_rules = set()
-        for instance in instances:
-            decision = self.classify(instance.values)
-            if not decision.matched:
-                unmatched += 1
-                continue
-            if decision.rejected:
-                rejected += 1
-                continue
-            if instance.label == MALICIOUS_CLASS:
-                malicious_matched += 1
-                if decision.label == MALICIOUS_CLASS:
-                    true_positives += 1
-            else:
-                benign_matched += 1
-                if decision.label == MALICIOUS_CLASS:
-                    false_positives += 1
-                    for rule in decision.matched_rules:
-                        if rule.prediction == MALICIOUS_CLASS:
-                            fp_rules.add(rule)
-        return EvaluationResult(
-            malicious_matched=malicious_matched,
-            true_positives=true_positives,
-            benign_matched=benign_matched,
-            false_positives=false_positives,
-            rejected=rejected,
-            unmatched=unmatched,
-            fp_rules=tuple(fp_rules),
-        )
 
     def _evaluate_batch(
         self,
         instances: Sequence[Instance],
         batch: columnar.MatchedBatch,
     ) -> EvaluationResult:
-        """Columnar TP/FP accounting; count-for-count equal to scalar.
+        """Columnar TP/FP accounting, count for count equal to the
+        per-instance reference in ``tests/core/scalar_reference.py``.
 
-        ``fp_rules`` come out in deterministic rule order (the scalar
-        path's set iteration order is hash-dependent); consumers treat
-        the tuple as a set.
+        ``fp_rules`` come out in rule order; consumers treat the tuple
+        as a set.
         """
         labels, row_rejected = batch.resolve(self.policy.value)
         row_matched = batch.matched_any()

@@ -1,11 +1,12 @@
-"""Columnar rule-evaluation fast path: codes, masks, and row dedup.
+"""Columnar rule evaluation: codes, masks, and row dedup.
 
 The paper's classifier (Section VI-D) applies a few hundred conjunctive
-rules over eight *low-cardinality categorical* features.  The scalar
-reference implementation (:meth:`repro.core.classifier.RuleBasedClassifier
-.classify`) walks every rule per instance -- `O(instances x rules x
-conditions)` Python-level string comparisons.  This module turns that
-batch-scoring hot loop into a handful of NumPy broadcasts:
+rules of equality tests over eight *low-cardinality categorical*
+features.  The single-row reference
+(:meth:`repro.core.classifier.RuleBasedClassifier.classify`) walks every
+rule per instance -- `O(instances x rules x conditions)` Python-level
+string comparisons.  This module turns batch scoring into a handful of
+NumPy broadcasts:
 
 1. **Interning** -- a :class:`FeatureCodec` maps each feature column's
    string values to dense integer codes, so a batch of feature tuples
@@ -23,11 +24,11 @@ batch-scoring hot loop into a handful of NumPy broadcasts:
 
 The module deliberately imports nothing from :mod:`repro.core.classifier`
 (which imports it): conflict policies arrive as their plain value strings
-and decisions leave as small integer arrays.  The classifier's batch
-entry points always take this path unless :func:`rules_supported`
-rejects the rules; its per-instance ``classify`` walk is the reference
-``tests/core/test_columnar.py`` compares against, decision for decision
-and count for count, under every
+and decisions leave as small integer arrays.  Every batch entry point of
+the classifier takes this path; its per-instance ``classify`` walk, and
+the per-instance TP/FP accounting in ``tests/core/scalar_reference.py``,
+are the references ``tests/core/test_columnar.py`` compares against,
+decision for decision and count for count, under every
 :class:`~repro.core.classifier.ConflictPolicy`.
 """
 
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import AttributeKind, MALICIOUS_CLASS
+from .dataset import MALICIOUS_CLASS
 from .rules import Rule
 
 #: Label codes produced by :func:`resolve_matches`.
@@ -57,11 +58,9 @@ class FeatureCodec:
     re-materialize.
     """
 
-    def __init__(self, width: Optional[int] = None) -> None:
-        self._width = width
-        self._vocabs: List[Dict[str, int]] = [
-            {} for _ in range(width or 0)
-        ]
+    def __init__(self) -> None:
+        self._width: Optional[int] = None
+        self._vocabs: List[Dict[str, int]] = []
         self._version = 0
 
     @property
@@ -91,8 +90,7 @@ class FeatureCodec:
         """Intern a batch of feature tuples into an ``(n, width)`` matrix.
 
         The first batch fixes the row width; later batches must match it
-        (a :class:`ValueError` otherwise, which callers treat as "take
-        the scalar path").
+        (a :class:`ValueError` otherwise).
         """
         if self._width is None:
             self._width = len(rows[0]) if rows else 0
@@ -122,24 +120,6 @@ class FeatureCodec:
         return codes
 
 
-def rules_supported(rules: Sequence[Rule], width: Optional[int]) -> bool:
-    """Whether the mask compiler can represent ``rules`` over ``width``.
-
-    Requires every condition to be a categorical equality test on an
-    attribute inside the row width.  Numeric threshold conditions (the
-    tree code's generality escape hatch) fall back to the scalar path.
-    """
-    for rule in rules:
-        for condition in rule.conditions:
-            if condition.kind != AttributeKind.CATEGORICAL:
-                return False
-            if condition.operator != "==":
-                return False
-            if width is not None and not 0 <= condition.attribute < width:
-                return False
-    return True
-
-
 @dataclasses.dataclass
 class CompiledRuleMasks:
     """Per-feature allowed-code masks for one ordered rule list.
@@ -153,7 +133,6 @@ class CompiledRuleMasks:
     codec_version: int
     n_rules: int
     masks: List[Tuple[int, "np.ndarray"]]
-    is_malicious: "np.ndarray"
 
 
 def compile_rules(
@@ -163,7 +142,9 @@ def compile_rules(
 
     A condition whose value the codec has never interned yields an
     all-False row: the rule can match no encoded instance, which is
-    exactly the scalar outcome (no row carries that value).
+    exactly the scalar outcome (no row carries that value).  A condition
+    on an attribute outside the codec's row width raises
+    :class:`ValueError`.
     """
     sizes = codec.vocab_sizes()
     n_rules = len(rules)
@@ -171,6 +152,11 @@ def compile_rules(
     for index, rule in enumerate(rules):
         for condition in rule.conditions:
             attribute = condition.attribute
+            if not 0 <= attribute < len(sizes):
+                raise ValueError(
+                    f"condition on attribute {attribute} outside the "
+                    f"{len(sizes)}-wide rows"
+                )
             mask = restricted.get(attribute)
             if mask is None:
                 mask = np.ones((n_rules, sizes[attribute]), dtype=bool)
@@ -180,16 +166,10 @@ def compile_rules(
             if code is not None:
                 allowed[code] = True
             mask[index] &= allowed
-    is_malicious = np.fromiter(
-        (rule.prediction == MALICIOUS_CLASS for rule in rules),
-        dtype=bool,
-        count=n_rules,
-    )
     return CompiledRuleMasks(
         codec_version=codec.version,
         n_rules=n_rules,
         masks=sorted(restricted.items()),
-        is_malicious=is_malicious,
     )
 
 
@@ -283,48 +263,46 @@ class ColumnarRuleEvaluator:
     Owns the codec and the version-keyed compiled masks: encoding a
     batch that introduces new feature values grows a vocabulary, which
     triggers a (cheap) mask re-compile on the next match.  The rule list
-    is snapshotted at construction; mutate-and-reuse is not supported on
-    the fast path (rebuild the evaluator instead).
+    is snapshotted at construction; mutate-and-reuse is not supported
+    (rebuild the evaluator instead).
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules: Tuple[Rule, ...] = tuple(rules)
+        self.is_malicious = np.fromiter(
+            (rule.prediction == MALICIOUS_CLASS for rule in self.rules),
+            dtype=bool,
+            count=len(self.rules),
+        )
         self.codec = FeatureCodec()
         self._compiled: Optional[CompiledRuleMasks] = None
-        self._supported: Optional[bool] = None
 
-    def match_rows(self, rows: Sequence[Sequence]) -> Optional[MatchedBatch]:
+    def match_rows(self, rows: Sequence[Sequence]) -> MatchedBatch:
         """Dedup, encode and match a batch of feature tuples.
 
-        Returns ``None`` when the batch cannot take the fast path
-        (unsupported rule conditions, or rows whose width disagrees with
-        what the codec already encoded) -- callers then fall back to the
-        scalar reference implementation.
+        Raises :class:`ValueError` when the rows' width disagrees with
+        what the codec already encoded, or a rule tests an attribute
+        outside that width.  An empty batch leaves the codec untouched,
+        so it cannot fix the row width for later batches.
         """
-        try:
-            codes = self.codec.encode_rows(rows)
-        except ValueError:
-            return None
-        if self._supported is None:
-            self._supported = rules_supported(self.rules, self.codec.width)
-        if not self._supported:
-            return None
-        if codes.shape[0]:
-            unique, inverse = np.unique(
-                codes, axis=0, return_inverse=True
+        if not rows:
+            return MatchedBatch(
+                match=np.zeros((len(self.rules), 0), dtype=bool),
+                inverse=np.empty(0, dtype=np.intp),
+                is_malicious=self.is_malicious,
+                n_rows=0,
+                n_unique=0,
             )
-            inverse = inverse.reshape(-1)
-        else:
-            unique = codes
-            inverse = np.empty(0, dtype=np.intp)
+        codes = self.codec.encode_rows(rows)
+        unique, inverse = np.unique(codes, axis=0, return_inverse=True)
         compiled = self._compiled
         if compiled is None or compiled.codec_version != self.codec.version:
             compiled = compile_rules(self.rules, self.codec)
             self._compiled = compiled
         return MatchedBatch(
             match=match_codes(compiled, unique),
-            inverse=inverse,
-            is_malicious=compiled.is_malicious,
+            inverse=inverse.reshape(-1),
+            is_malicious=self.is_malicious,
             n_rows=len(rows),
             n_unique=unique.shape[0],
         )

@@ -1,15 +1,14 @@
 """Training data model for the rule learner.
 
 Instances carry the eight Table XV feature values plus a binary class
-(``benign`` / ``malicious``).  Attributes are categorical by default;
-numeric attributes are supported by the tree code for generality (and for
-users who prefer raw Alexa ranks over bins).
+(``benign`` / ``malicious``).  Every attribute is categorical, so a
+schema is just the tuple of feature names; the learners split and the
+rules test each attribute by equality of ``str()`` values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
@@ -24,25 +23,8 @@ MALICIOUS_CLASS = "malicious"
 CLASSES: Tuple[str, str] = (BENIGN_CLASS, MALICIOUS_CLASS)
 
 
-class AttributeKind(enum.Enum):
-    """How an attribute is split by the tree."""
-
-    CATEGORICAL = "categorical"
-    NUMERIC = "numeric"
-
-
-@dataclasses.dataclass(frozen=True)
-class AttributeSpec:
-    """Name and kind of one attribute."""
-
-    name: str
-    kind: AttributeKind = AttributeKind.CATEGORICAL
-
-
-#: The Table XV schema: all eight features, categorical.
-TABLE_XV_SCHEMA: Tuple[AttributeSpec, ...] = tuple(
-    AttributeSpec(name) for name in FEATURE_NAMES
-)
+#: The Table XV schema: the names of all eight (categorical) features.
+TABLE_XV_SCHEMA: Tuple[str, ...] = FEATURE_NAMES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +44,7 @@ class Instance:
 class TrainingSet:
     """A schema plus a list of instances."""
 
-    schema: Tuple[AttributeSpec, ...]
+    schema: Tuple[str, ...]
     instances: List[Instance]
 
     def __post_init__(self) -> None:

@@ -2,13 +2,15 @@
 
 This is the tree machinery underneath the PART rule learner (Frank &
 Witten 1998): entropy/gain-ratio split selection over categorical
-(multiway) and numeric (binary threshold) attributes, C4.5's
-average-gain pre-filter, and the pessimistic error estimate
-(Wilson-style upper confidence bound, the ``addErrs`` of C4.5) used for
-subtree replacement.
+attributes (one branch per value), C4.5's average-gain pre-filter, and
+the pessimistic error estimate (Wilson-style upper confidence bound, the
+``addErrs`` of C4.5) used for subtree replacement.  A branch holds a
+single value of its split attribute, so no path splits an attribute
+twice and a tree is never deeper than its schema is wide.
 
-A standalone :class:`DecisionTree` classifier is exposed as well -- it is
-useful on its own and lets the test suite exercise the split/prune
+A standalone :class:`DecisionTree` classifier is exposed as well: the
+§VI-D tree-versus-rules baseline (``benchmarks/bench_baseline_tree.py``)
+builds one, and it lets the test suite exercise the split/prune
 machinery independently of PART.
 """
 
@@ -20,7 +22,7 @@ from collections import Counter, defaultdict
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .dataset import AttributeKind, AttributeSpec, Instance
+from .dataset import Instance
 
 #: C4.5's default pruning confidence factor.
 DEFAULT_CF = 0.25
@@ -47,9 +49,7 @@ def class_counts(instances: Sequence[Instance]) -> Counter:
     return Counter(instance.label for instance in instances)
 
 
-def pessimistic_added_errors(
-    coverage: float, errors: float, cf: float = DEFAULT_CF
-) -> float:
+def pessimistic_added_errors(coverage: float, errors: float) -> float:
     """C4.5's ``addErrs``: extra errors added by the pessimistic estimate.
 
     The estimated error of a leaf covering ``coverage`` instances with
@@ -61,10 +61,10 @@ def pessimistic_added_errors(
         return 0.0
     if errors < 1e-9:
         # Upper bound when no errors were observed.
-        return coverage * (1.0 - math.exp(math.log(cf) / coverage))
+        return coverage * (1.0 - math.exp(math.log(DEFAULT_CF) / coverage))
     if errors + 0.5 >= coverage:
         return max(coverage - errors, 0.0)
-    z = NormalDist().inv_cdf(1.0 - cf)
+    z = NormalDist().inv_cdf(1.0 - DEFAULT_CF)
     f = (errors + 0.5) / coverage
     upper = (
         f
@@ -103,27 +103,17 @@ class Leaf:
 
 @dataclasses.dataclass(frozen=True)
 class Split:
-    """A chosen split of one attribute."""
+    """A chosen multiway split of one attribute."""
 
     attribute: int
-    kind: AttributeKind
-    threshold: Optional[float] = None
-
-    def branch_key(self, value) -> str:
-        """Branch identifier for one attribute value."""
-        if self.kind == AttributeKind.CATEGORICAL:
-            return str(value)
-        return "<=" if float(value) <= self.threshold else ">"
 
     def partition(
         self, instances: Sequence[Instance]
     ) -> Dict[str, List[Instance]]:
-        """Split instances into branches."""
+        """Split instances into branches keyed by ``str(value)``."""
         branches: Dict[str, List[Instance]] = defaultdict(list)
         for instance in instances:
-            branches[self.branch_key(instance.values[self.attribute])].append(
-                instance
-            )
+            branches[str(instance.values[self.attribute])].append(instance)
         return dict(branches)
 
 
@@ -159,13 +149,8 @@ Node = Union[InnerNode, Leaf]
 class SplitSelector:
     """Chooses the best gain-ratio split, C4.5-style."""
 
-    def __init__(
-        self,
-        schema: Sequence[AttributeSpec],
-        min_instances: int = DEFAULT_MIN_INSTANCES,
-    ) -> None:
+    def __init__(self, schema: Sequence[str]) -> None:
         self.schema = tuple(schema)
-        self.min_instances = min_instances
 
     def best_split(self, instances: Sequence[Instance]) -> Optional[Split]:
         """The best admissible split, or ``None`` if no split helps.
@@ -175,18 +160,13 @@ class SplitSelector:
         candidates, pick the one with the highest gain ratio.
         """
         base_entropy = entropy(class_counts(instances))
-        if base_entropy == 0.0 or len(instances) < 2 * self.min_instances:
+        if base_entropy == 0.0 or len(instances) < 2 * DEFAULT_MIN_INSTANCES:
             return None
         candidates: List[Tuple[float, float, Split]] = []  # (gain, ratio, s)
-        for index, spec in enumerate(self.schema):
-            if spec.kind == AttributeKind.CATEGORICAL:
-                candidate = self._categorical_candidate(
-                    instances, index, base_entropy
-                )
-            else:
-                candidate = self._numeric_candidate(
-                    instances, index, base_entropy
-                )
+        for index in range(len(self.schema)):
+            candidate = self._categorical_candidate(
+                instances, index, base_entropy
+            )
             if candidate is not None:
                 candidates.append(candidate)
         if not candidates:
@@ -216,7 +196,7 @@ class SplitSelector:
         total = len(instances)
         big_enough = sum(
             1 for counts in branch_counts.values()
-            if sum(counts.values()) >= self.min_instances
+            if sum(counts.values()) >= DEFAULT_MIN_INSTANCES
         )
         if big_enough < 2:
             return None
@@ -229,54 +209,7 @@ class SplitSelector:
         gain = base_entropy - conditional
         if gain <= 1e-12 or split_info <= 1e-12:
             return None
-        return gain, gain / split_info, Split(index, AttributeKind.CATEGORICAL)
-
-    def _numeric_candidate(
-        self,
-        instances: Sequence[Instance],
-        index: int,
-        base_entropy: float,
-    ) -> Optional[Tuple[float, float, Split]]:
-        pairs = sorted(
-            (float(instance.values[index]), instance.label)
-            for instance in instances
-        )
-        total = len(pairs)
-        left: Counter = Counter()
-        right = Counter(label for _, label in pairs)
-        best: Optional[Tuple[float, float, float]] = None  # gain, ratio, thr
-        for position in range(total - 1):
-            value, label = pairs[position]
-            left[label] += 1
-            right[label] -= 1
-            if pairs[position + 1][0] == value:
-                continue
-            left_total = position + 1
-            right_total = total - left_total
-            if left_total < self.min_instances or right_total < self.min_instances:
-                continue
-            weight_left = left_total / total
-            weight_right = right_total / total
-            conditional = (
-                weight_left * entropy(left) + weight_right * entropy(right)
-            )
-            gain = base_entropy - conditional
-            if gain <= 1e-12:
-                continue
-            split_info = -(
-                weight_left * math.log2(weight_left)
-                + weight_right * math.log2(weight_right)
-            )
-            if split_info <= 1e-12:
-                continue
-            ratio = gain / split_info
-            threshold = (value + pairs[position + 1][0]) / 2.0
-            if best is None or ratio > best[1]:
-                best = (gain, ratio, threshold)
-        if best is None:
-            return None
-        gain, ratio, threshold = best
-        return gain, ratio, Split(index, AttributeKind.NUMERIC, threshold)
+        return gain, gain / split_info, Split(index)
 
 
 # ----------------------------------------------------------------------
@@ -291,41 +224,31 @@ def make_leaf(instances: Sequence[Instance], developed: bool = True) -> Leaf:
     return Leaf(prediction=prediction, counts=counts, developed=developed)
 
 
-def subtree_errors(node: Node, cf: float = DEFAULT_CF) -> float:
+def subtree_errors(node: Node) -> float:
     """Pessimistic error estimate of a (sub)tree."""
     if node.is_leaf:
         return node.errors + pessimistic_added_errors(
-            node.coverage, node.errors, cf
+            node.coverage, node.errors
         )
-    return sum(subtree_errors(child, cf) for child in node.children.values())
+    return sum(subtree_errors(child) for child in node.children.values())
 
 
 class DecisionTree:
     """A C4.5-style classifier: build fully, prune by subtree replacement."""
 
-    def __init__(
-        self,
-        schema: Sequence[AttributeSpec],
-        min_instances: int = DEFAULT_MIN_INSTANCES,
-        cf: float = DEFAULT_CF,
-        max_depth: int = 40,
-    ) -> None:
+    def __init__(self, schema: Sequence[str]) -> None:
         self.schema = tuple(schema)
-        self.cf = cf
-        self.max_depth = max_depth
-        self._selector = SplitSelector(schema, min_instances)
+        self._selector = SplitSelector(schema)
         self.root: Optional[Node] = None
 
     def fit(self, instances: Sequence[Instance]) -> "DecisionTree":
         """Build and prune the tree."""
         if not instances:
             raise ValueError("cannot fit a tree on zero instances")
-        self.root = self._build(list(instances), depth=0)
+        self.root = self._build(list(instances))
         return self
 
-    def _build(self, instances: List[Instance], depth: int) -> Node:
-        if depth >= self.max_depth:
-            return make_leaf(instances)
+    def _build(self, instances: List[Instance]) -> Node:
         split = self._selector.best_split(instances)
         if split is None:
             return make_leaf(instances)
@@ -333,7 +256,7 @@ class DecisionTree:
         if len(branches) < 2:
             return make_leaf(instances)
         children = {
-            key: self._build(subset, depth + 1)
+            key: self._build(subset)
             for key, subset in branches.items()
         }
         node = InnerNode(
@@ -342,9 +265,9 @@ class DecisionTree:
         # Subtree replacement: keep the subtree only if it beats a leaf.
         leaf = make_leaf(instances)
         leaf_errors = leaf.errors + pessimistic_added_errors(
-            leaf.coverage, leaf.errors, self.cf
+            leaf.coverage, leaf.errors
         )
-        if leaf_errors <= subtree_errors(node, self.cf) + 0.1:
+        if leaf_errors <= subtree_errors(node) + 0.1:
             return leaf
         return node
 
@@ -354,8 +277,7 @@ class DecisionTree:
             raise RuntimeError("tree is not fitted")
         node = self.root
         while not node.is_leaf:
-            key = node.split.branch_key(values[node.split.attribute])
-            child = node.children.get(key)
+            child = node.children.get(str(values[node.split.attribute]))
             if child is None:
                 # Unseen categorical value: fall back to the node majority.
                 return node.prediction

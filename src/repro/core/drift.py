@@ -22,7 +22,7 @@ from .rules import Rule, RuleSet
 def _logic_key(rule: Rule) -> Tuple:
     """A rule's identity: its ordered-insensitive conditions + prediction."""
     conditions = frozenset(
-        (condition.feature, condition.operator, str(condition.value))
+        (condition.feature, str(condition.value))
         for condition in rule.conditions
     )
     return (conditions, rule.prediction)
@@ -158,7 +158,9 @@ def persistent_rules(rulesets: Sequence[RuleSet]) -> List[Rule]:
 
     These are the stable-intelligence candidates an analyst could promote
     to a curated rule file (see :mod:`repro.core.rule_text`).  The
-    returned rules are the last month's instances (freshest statistics).
+    returned rules are the last month's instances (freshest statistics),
+    by decreasing coverage; equal coverage falls back to the rendered
+    text, so the order never depends on string hashing.
     """
     if not rulesets:
         return []
@@ -172,5 +174,5 @@ def persistent_rules(rulesets: Sequence[RuleSet]) -> List[Rule]:
     }
     return sorted(
         (last[key] for key in common),
-        key=lambda rule: -rule.coverage,
+        key=lambda rule: (-rule.coverage, rule.render()),
     )

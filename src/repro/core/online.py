@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .classifier import ConflictPolicy, Decision, RuleBasedClassifier
-from .dataset import AttributeSpec, CLASSES, Instance, TABLE_XV_SCHEMA
+from .dataset import CLASSES, Instance, TABLE_XV_SCHEMA
 from .part import PartLearner
 from .rules import RuleSet
 
@@ -29,7 +29,7 @@ class OnlineRuleClassifier:
 
     def __init__(
         self,
-        schema: Sequence[AttributeSpec] = TABLE_XV_SCHEMA,
+        schema: Sequence[str] = TABLE_XV_SCHEMA,
         tau: float = 0.001,
         window_days: float = 30.0,
         retrain_interval_days: float = 30.0,

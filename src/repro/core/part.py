@@ -4,12 +4,17 @@ PART combines separate-and-conquer rule learning with partial C4.5
 decision trees:
 
 1. build a *partial* tree on the remaining instances -- subsets of each
-   split are expanded in order of increasing entropy, expansion stops as
-   soon as an expanded subtree cannot be replaced by a leaf, and subtree
-   replacement uses C4.5's pessimistic error estimate;
+   split are expanded in order of increasing entropy, and expansion
+   stops at the first subset that grows into a subtree;
 2. the developed leaf covering the most instances becomes a rule (the
-   conjunction of the tests on its path);
+   conjunction of the equality tests on its path);
 3. instances covered by the rule are removed and the process repeats.
+
+Frank & Witten also try to replace each fully expanded subtree by a leaf
+(C4.5's pessimistic estimate).  The paper's deployment does not: it
+keeps the fine-grained per-signer leaves and filters the rules
+afterwards by training error (the tau threshold of Section VI-D), so an
+expanded subtree is never collapsed here.
 
 The result is an ordered rule list ending in a default rule.  The paper
 uses the learned rules as an *unordered* set with conflict rejection
@@ -23,10 +28,8 @@ from typing import List, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from .dataset import AttributeKind, AttributeSpec, Instance
+from .dataset import Instance
 from .decision_tree import (
-    DEFAULT_CF,
-    DEFAULT_MIN_INSTANCES,
     InnerNode,
     Leaf,
     Node,
@@ -34,8 +37,6 @@ from .decision_tree import (
     class_counts,
     entropy,
     make_leaf,
-    pessimistic_added_errors,
-    subtree_errors,
 )
 from .rules import Condition, Rule, RuleSet
 
@@ -51,26 +52,9 @@ class _LeafPath:
 class PartLearner:
     """Learns an ordered rule list from labeled instances."""
 
-    def __init__(
-        self,
-        schema: Sequence[AttributeSpec],
-        min_instances: int = DEFAULT_MIN_INSTANCES,
-        cf: float = DEFAULT_CF,
-        max_depth: int = 30,
-        max_rules: int = 10_000,
-        prune: bool = False,
-    ) -> None:
-        """``prune`` enables C4.5 subtree replacement inside the partial
-        trees.  The paper's deployment keeps the fine-grained per-signer
-        leaves and filters rules afterwards by training error (the tau
-        threshold of Section VI-D), which corresponds to ``prune=False``;
-        pessimistic replacement is available for ablation."""
+    def __init__(self, schema: Sequence[str]) -> None:
         self.schema = tuple(schema)
-        self.cf = cf
-        self.max_depth = max_depth
-        self.max_rules = max_rules
-        self.prune = prune
-        self._selector = SplitSelector(schema, min_instances)
+        self._selector = SplitSelector(schema)
 
     # ------------------------------------------------------------------
     # Public API
@@ -90,8 +74,8 @@ class PartLearner:
         with trace.span("core.part_fit", instances=len(instances)) as span:
             remaining = list(instances)
             rules: List[Rule] = []
-            while remaining and len(rules) < self.max_rules:
-                root = self._expand(remaining, depth=0)
+            while remaining:
+                root = self._expand(remaining)
                 best = self._best_developed_leaf(root)
                 rule = Rule(
                     conditions=best.conditions,
@@ -140,11 +124,9 @@ class PartLearner:
     # Partial tree expansion
     # ------------------------------------------------------------------
 
-    def _expand(self, instances: List[Instance], depth: int) -> Node:
-        """Build a partial tree: entropy-ordered subset expansion with
-        stop-on-unreplaceable-subtree, per Frank & Witten."""
-        if depth >= self.max_depth:
-            return make_leaf(instances)
+    def _expand(self, instances: List[Instance]) -> Node:
+        """Build a partial tree: entropy-ordered subset expansion that
+        stops at the first subset grown into a subtree."""
         split = self._selector.best_split(instances)
         if split is None:
             return make_leaf(instances)
@@ -156,29 +138,20 @@ class PartLearner:
             key=lambda item: (entropy(class_counts(item[1])), item[0]),
         )
         children = {}
-        node_counts = class_counts(instances)
         for position, (key, subset) in enumerate(ordered):
-            child = self._expand(subset, depth + 1)
+            child = self._expand(subset)
             children[key] = child
             if not child.is_leaf:
-                # An expanded subtree survived replacement: stop here and
-                # leave the remaining subsets undeveloped.
+                # An expanded subtree: stop here and leave the remaining
+                # subsets undeveloped.
                 for other_key, other_subset in ordered[position + 1:]:
                     children[other_key] = make_leaf(
                         other_subset, developed=False
                     )
-                return InnerNode(split=split, children=children,
-                                 counts=node_counts)
-        node = InnerNode(split=split, children=children, counts=node_counts)
-        if not self.prune:
-            return node
-        collapsed = make_leaf(instances)
-        collapsed_errors = collapsed.errors + pessimistic_added_errors(
-            collapsed.coverage, collapsed.errors, self.cf
+                break
+        return InnerNode(
+            split=split, children=children, counts=class_counts(instances)
         )
-        if collapsed_errors <= subtree_errors(node, self.cf) + 0.1:
-            return collapsed
-        return node
 
     # ------------------------------------------------------------------
     # Rule extraction
@@ -217,20 +190,7 @@ class PartLearner:
             )
 
     def _condition_for(self, node: InnerNode, key: str) -> Condition:
-        split = node.split
-        spec = self.schema[split.attribute]
-        if split.kind == AttributeKind.CATEGORICAL:
-            return Condition(
-                feature=spec.name,
-                attribute=split.attribute,
-                kind=AttributeKind.CATEGORICAL,
-                operator="==",
-                value=key,
-            )
+        attribute = node.split.attribute
         return Condition(
-            feature=spec.name,
-            attribute=split.attribute,
-            kind=AttributeKind.NUMERIC,
-            operator="<=" if key == "<=" else ">",
-            value=split.threshold,
+            feature=self.schema[attribute], attribute=attribute, value=key
         )

@@ -18,7 +18,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .classifier import Decision
-from .dataset import AttributeKind, BENIGN_CLASS, MALICIOUS_CLASS
+from .dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from .features import FEATURE_NAMES, NO_CA, UNPACKED, UNSIGNED
 from .rules import Condition, Rule, RuleSet
 
@@ -80,8 +80,6 @@ def _parse_condition(phrase: str) -> Condition:
             return Condition(
                 feature=feature,
                 attribute=FEATURE_NAMES.index(feature),
-                kind=AttributeKind.CATEGORICAL,
-                operator="==",
                 value=value,
             )
     raise RuleParseError(f"unrecognized condition phrase: {phrase!r}")

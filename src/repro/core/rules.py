@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dataset import AttributeKind, BENIGN_CLASS, MALICIOUS_CLASS
+from .dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from .features import FEATURE_NAMES, NO_CA, UNPACKED, UNSIGNED
 
 #: Rendering templates per feature: (phrase for a value, phrase for the
@@ -68,33 +68,23 @@ _ALEXA_PHRASES = {
 
 @dataclasses.dataclass(frozen=True)
 class Condition:
-    """One attribute test of a rule."""
+    """One equality test of a rule: ``values[attribute] == value``.
+
+    Values are compared by their ``str()`` form, the same lens the tree
+    code splits by and :class:`repro.core.columnar.FeatureCodec` interns
+    through.
+    """
 
     feature: str
     attribute: int
-    kind: AttributeKind
-    operator: str  # '==', '<=' or '>'
     value: object
-
-    def __post_init__(self) -> None:
-        if self.operator not in ("==", "<=", ">"):
-            raise ValueError(f"unknown operator {self.operator!r}")
-        if self.kind == AttributeKind.CATEGORICAL and self.operator != "==":
-            raise ValueError("categorical conditions must use '=='")
 
     def matches(self, values: Sequence) -> bool:
         """Whether a feature-value tuple satisfies this condition."""
-        actual = values[self.attribute]
-        if self.operator == "==":
-            return str(actual) == str(self.value)
-        if self.operator == "<=":
-            return float(actual) <= float(self.value)
-        return float(actual) > float(self.value)
+        return str(values[self.attribute]) == str(self.value)
 
     def render(self) -> str:
         """The paper-style phrase for this condition."""
-        if self.kind == AttributeKind.NUMERIC:
-            return f"{self.feature} {self.operator} {self.value}"
         template, absent_phrase = _FEATURE_PHRASES.get(
             self.feature, (f"{self.feature} is \"{{}}\"", None)
         )
@@ -167,15 +157,10 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
-    def select(
-        self,
-        tau: float,
-        drop_default: bool = True,
-        min_coverage: int = 1,
-    ) -> "RuleSet":
+    def select(self, tau: float, min_coverage: int = 1) -> "RuleSet":
         """Rules with training error rate at most ``tau`` (Section VI-D).
 
-        The PART default rule (no conditions) is dropped by default: it
+        The PART default rule (no conditions) is always dropped: it
         exists to make the decision list total, and would otherwise match
         every file.  ``min_coverage`` optionally drops rules supported by
         very few training files (the paper highlights a rule "learned
@@ -188,7 +173,7 @@ class RuleSet:
                 for rule in self.rules
                 if rule.error_rate <= tau + 1e-12
                 and rule.coverage >= min_coverage
-                and not (drop_default and rule.is_default)
+                and not rule.is_default
             ]
         )
 

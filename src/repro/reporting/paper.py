@@ -13,6 +13,7 @@ from ..core.features import FEATURE_NAMES
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel, MalwareType
 from ..labeling.whitelists import AlexaService
+from ..synth.calibration import TYPE_RESOLUTION_TARGETS
 from .tables import (
     fmt_frac,
     fmt_int,
@@ -321,6 +322,18 @@ def render_fig_4(labeled: LabeledDataset, top: int = 15) -> str:
             "(top shared signers)"
         ),
     )
+
+
+def render_type_resolution(labeled: LabeledDataset) -> str:
+    """Section II-C: how each malware type label was resolved."""
+    fractions = labeled.type_resolution_fractions
+    lines = ["Section II-C: Type resolution"]
+    for name, paper in TYPE_RESOLUTION_TARGETS.items():
+        lines.append(
+            f"{name + ':':<13}{fmt_pct(100 * fractions[name])} "
+            f"(paper {100 * paper:.0f}%)"
+        )
+    return "\n".join(lines)
 
 
 def render_packers(labeled: LabeledDataset) -> str:

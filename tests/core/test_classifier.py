@@ -3,23 +3,12 @@
 import pytest
 
 from repro.core.classifier import ConflictPolicy, RuleBasedClassifier
-from repro.core.dataset import (
-    AttributeKind,
-    BENIGN_CLASS,
-    MALICIOUS_CLASS,
-    Instance,
-)
+from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS, Instance
 from repro.core.rules import Condition, Rule, RuleSet
 
 
 def _cond(attribute, value):
-    return Condition(
-        feature=f"f{attribute}",
-        attribute=attribute,
-        kind=AttributeKind.CATEGORICAL,
-        operator="==",
-        value=value,
-    )
+    return Condition(feature=f"f{attribute}", attribute=attribute, value=value)
 
 
 MAL_RULE = Rule((_cond(0, "somoto"),), MALICIOUS_CLASS, 50, 0)

@@ -1,12 +1,13 @@
-"""The columnar fast path must equal the scalar reference exactly.
+"""The columnar path must equal the scalar reference exactly.
 
 The speedup claim of :mod:`repro.core.columnar` is only worth anything
-if Tables XVI/XVII stay bit-identical, so these tests compare the two
-paths decision for decision on randomized rule/row matrices (all three
-conflict policies), on edge cases the broadcasting is most likely to
-get wrong, and on real learned rules over a synthetic session.  The
-``fp_rules`` tuple is compared as a *set*: the scalar path emits hash
-iteration order, the fast path deterministic rule order.
+if Tables XVI/XVII stay bit-identical, so these tests compare the
+columnar path with ``classify`` and with the per-instance accounting of
+:mod:`.scalar_reference`, decision for decision, on randomized rule/row
+matrices (all three conflict policies), on edge cases the broadcasting
+is most likely to get wrong, and on real learned rules over a synthetic
+session.  The ``fp_rules`` tuple is compared as a *set*: the scalar
+reference emits hash iteration order, the columnar path rule order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from repro.core.columnar import ColumnarRuleEvaluator, FeatureCodec
 from repro.core.dataset import (
     BENIGN_CLASS,
     MALICIOUS_CLASS,
-    TABLE_XV_SCHEMA,
-    AttributeKind,
     Instance,
     TrainingSet,
     unknown_vectors,
@@ -35,19 +34,15 @@ from repro.core.evaluation import (
 from repro.core.rules import Condition, Rule, RuleSet
 from repro.obs import metrics as obs_metrics
 
+from .scalar_reference import scalar_evaluate
+
 WIDTH = 4
 VOCAB = ("alpha", "beta", "gamma", "delta")
 POLICIES = list(ConflictPolicy)
 
 
 def _condition(attribute: int, value: str) -> Condition:
-    return Condition(
-        feature=f"f{attribute}",
-        attribute=attribute,
-        kind=AttributeKind.CATEGORICAL,
-        operator="==",
-        value=value,
-    )
+    return Condition(feature=f"f{attribute}", attribute=attribute, value=value)
 
 
 def _random_rules(rng: random.Random, count: int) -> RuleSet:
@@ -161,7 +156,7 @@ class TestRandomizedEquivalence:
         ]
         classifier = RuleBasedClassifier(rules, policy)
         _assert_same_evaluation(
-            classifier.evaluate_scalar(instances),
+            scalar_evaluate(classifier, instances),
             classifier.evaluate(instances),
         )
 
@@ -176,8 +171,20 @@ class TestEdgeCases:
             assert not decision.rejected
 
     def test_empty_batch(self):
+        # An empty first batch must not fix the row width: the next
+        # real batch on the same classifier still matches the rules.
         rules = _random_rules(random.Random(3), 5)
-        assert RuleBasedClassifier(rules).classify_batch([]) == []
+        rows = _random_rows(random.Random(9), 30)
+        classifier = RuleBasedClassifier(rules)
+        assert classifier.classify_batch([]) == []
+        assert classifier._evaluator.codec.width is None
+        _assert_same_decisions(
+            [classifier.classify(row) for row in rows],
+            classifier.classify_batch(rows),
+        )
+        empty = RuleBasedClassifier(rules).evaluate([])
+        assert empty.unmatched == empty.rejected == 0
+        assert empty.fp_rules == ()
 
     def test_all_rows_unmatched(self):
         rules = RuleSet([_rule_for(("alpha", "alpha", "alpha", "alpha"))])
@@ -202,39 +209,32 @@ class TestEdgeCases:
             assert decision.label == MALICIOUS_CLASS
             assert decision.matched_rules == (default,)
 
-    def test_numeric_rules_fall_back_to_scalar(self):
-        numeric = Rule(
-            conditions=(
-                Condition(
-                    feature="n0",
-                    attribute=0,
-                    kind=AttributeKind.NUMERIC,
-                    operator="<=",
-                    value=3,
-                ),
-            ),
-            prediction=MALICIOUS_CLASS,
-            coverage=5,
-            errors=0,
-        )
-        classifier = RuleBasedClassifier(RuleSet([numeric]))
-        decisions = classifier.classify_batch([(1,), (7,)])
-        assert decisions[0].label == MALICIOUS_CLASS
-        assert decisions[1].label is None
+    def test_width_mismatches_raise(self):
+        # Rows narrower than an earlier batch, and rules testing an
+        # attribute past the row width, are errors, not silent walks.
+        classifier = RuleBasedClassifier(_random_rules(random.Random(2), 4))
+        classifier.classify_batch([("alpha",) * WIDTH])
+        with pytest.raises(ValueError, match="row width mismatch"):
+            classifier.classify_batch([("alpha",) * (WIDTH - 1)])
+        too_wide = RuleSet([_rule_for(("alpha",) * (WIDTH + 1))])
+        with pytest.raises(ValueError, match="outside"):
+            RuleBasedClassifier(too_wide).classify_batch([("alpha",) * WIDTH])
+        with pytest.raises(ValueError, match="outside"):
+            RuleBasedClassifier(too_wide).evaluate(
+                [Instance(values=("alpha",) * WIDTH, label=BENIGN_CLASS)]
+            )
 
     def test_dedup_counts_unique_rows(self):
         rules = _random_rules(random.Random(5), 6)
         evaluator = ColumnarRuleEvaluator(rules.rules)
         rows = [("alpha",) * WIDTH, ("beta",) * WIDTH] * 50
         batch = evaluator.match_rows(rows)
-        assert batch is not None
         assert batch.n_rows == 100
         assert batch.n_unique == 2
 
     def test_empty_rule_list_takes_fast_path(self):
         evaluator = ColumnarRuleEvaluator([])
         batch = evaluator.match_rows([("alpha",) * WIDTH])
-        assert batch is not None
         assert batch.n_rows == 1
         assert batch.n_unique == 1
         assert batch.match.size == 0
@@ -247,7 +247,6 @@ class TestEdgeCases:
             [classifier.classify(row)], classifier.classify_batch([row])
         )
         batch = ColumnarRuleEvaluator(rules.rules).match_rows([row])
-        assert batch is not None
         assert batch.n_rows == batch.n_unique == 1
 
     def test_vocab_version_bump_mid_session(self):
@@ -257,11 +256,11 @@ class TestEdgeCases:
         rules = _random_rules(random.Random(7), 10)
         evaluator = ColumnarRuleEvaluator(rules.rules)
         first_rows = _random_rows(random.Random(8), 40)
-        assert evaluator.match_rows(first_rows) is not None
+        evaluator.match_rows(first_rows)
         version = evaluator.codec.version
         compiled = evaluator._compiled
         new_rows = [("nu",) * WIDTH, ("xi",) * WIDTH]
-        assert evaluator.match_rows(first_rows + new_rows) is not None
+        evaluator.match_rows(first_rows + new_rows)
         assert evaluator.codec.version > version
         assert evaluator._compiled is not compiled
         assert evaluator._compiled.codec_version == evaluator.codec.version
@@ -311,7 +310,7 @@ class TestRealDataEquivalence:
         classifier = RuleBasedClassifier(selected, policy)
         assert test_set.instances, "fixture must produce a test set"
         _assert_same_evaluation(
-            classifier.evaluate_scalar(test_set.instances),
+            scalar_evaluate(classifier, test_set.instances),
             classifier.evaluate(test_set.instances),
         )
         _assert_same_decisions(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import AttributeKind, AttributeSpec, Instance
+from repro.core.dataset import Instance
 from repro.core.decision_tree import (
     DecisionTree,
     SplitSelector,
@@ -16,8 +16,7 @@ from repro.core.decision_tree import (
     subtree_errors,
 )
 
-CAT2 = (AttributeSpec("a"), AttributeSpec("b"))
-NUM = (AttributeSpec("x", AttributeKind.NUMERIC),)
+CAT2 = ("a", "b")
 
 
 def _inst(values, label):
@@ -84,16 +83,6 @@ class TestSplitSelector:
         instances = [_inst(("v", "w"), "benign")] * 6
         assert SplitSelector(CAT2).best_split(instances) is None
 
-    def test_numeric_threshold_found(self):
-        instances = [
-            _inst((float(v),), "benign" if v < 5 else "malicious")
-            for v in range(10)
-        ]
-        split = SplitSelector(NUM).best_split(instances)
-        assert split is not None
-        assert split.kind == AttributeKind.NUMERIC
-        assert 4.0 <= split.threshold <= 5.0
-
     def test_single_valued_attribute_unsplittable(self):
         instances = [
             _inst(("same", "same"), "benign"),
@@ -109,7 +98,7 @@ class TestSplitSelector:
             _inst(("a", "x"), "benign"),
             _inst(("b", "x"), "malicious"),
         ]
-        split = SplitSelector(CAT2, min_instances=2).best_split(instances)
+        split = SplitSelector(CAT2).best_split(instances)
         assert split is None
 
 
@@ -162,15 +151,6 @@ class TestDecisionTree:
         tree = DecisionTree(CAT2).fit(instances)
         assert tree.depth() == 1
         assert tree.leaf_count() == 2
-
-    def test_numeric_tree(self):
-        instances = [
-            _inst((float(v),), "benign" if v < 50 else "malicious")
-            for v in range(100)
-        ]
-        tree = DecisionTree(NUM).fit(instances)
-        assert tree.predict((10.0,)) == "benign"
-        assert tree.predict((90.0,)) == "malicious"
 
 
 class TestSubtreeErrors:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dataset import AttributeKind, BENIGN_CLASS, MALICIOUS_CLASS
+from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from repro.core.drift import drift_series, persistent_rules, rule_drift
 from repro.core.features import FEATURE_NAMES
 from repro.core.rules import Condition, Rule, RuleSet
@@ -12,11 +12,7 @@ def _rule(signer, prediction=MALICIOUS_CLASS, coverage=10):
     return Rule(
         conditions=(
             Condition(
-                "file_signer",
-                FEATURE_NAMES.index("file_signer"),
-                AttributeKind.CATEGORICAL,
-                "==",
-                signer,
+                "file_signer", FEATURE_NAMES.index("file_signer"), signer
             ),
         ),
         prediction=prediction,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import RuleBasedClassifier
-from repro.core.dataset import AttributeKind, MALICIOUS_CLASS
+from repro.core.dataset import MALICIOUS_CLASS
 from repro.core.evasion import (
     match_rate,
     resign_fresh,
@@ -88,8 +88,6 @@ class TestMatchRate:
                 Condition(
                     "file_signer",
                     FEATURE_NAMES.index("file_signer"),
-                    AttributeKind.CATEGORICAL,
-                    "==",
                     "Somoto Ltd.",
                 ),
             ),

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.core.dataset import (
-    AttributeSpec,
-    BENIGN_CLASS,
-    MALICIOUS_CLASS,
-)
+from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from repro.core.online import OnlineRuleClassifier
 
-SCHEMA = (AttributeSpec("signer"), AttributeSpec("packer"))
+SCHEMA = ("signer", "packer")
 
 
 def _feed(classifier, count, start_day=0.0):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import AttributeSpec, Instance
+from repro.core.dataset import Instance
 from repro.core.part import PartLearner
 from repro.core.rules import RuleSet
 
-SCHEMA = (AttributeSpec("signer"), AttributeSpec("packer"))
+SCHEMA = ("signer", "packer")
 
 
 def _inst(signer, packer, label):
@@ -66,15 +66,6 @@ class TestFit:
         second = PartLearner(SCHEMA).fit(_separable_dataset()).render()
         assert first == second
 
-    def test_max_rules_cap(self):
-        instances = [
-            _inst(f"s{i}", "p", "malicious" if i % 2 else "benign")
-            for i in range(40)
-            for _ in range(2)
-        ]
-        rules = PartLearner(SCHEMA, max_rules=5).fit(instances)
-        assert len(rules) == 5
-
 
 class TestRestatedStatistics:
     def test_rule_stats_measured_on_full_training_set(self):
@@ -98,18 +89,6 @@ class TestRestatedStatistics:
             )
             assert rule.coverage == expected_coverage
             assert rule.errors == expected_errors
-
-
-class TestPruningFlag:
-    def test_pruned_learner_emits_fewer_rules(self):
-        instances = [
-            _inst(f"s{i}", f"p{i % 3}", "malicious" if i % 4 else "benign")
-            for i in range(30)
-            for _ in range(2)
-        ]
-        unpruned = PartLearner(SCHEMA, prune=False).fit(instances)
-        pruned = PartLearner(SCHEMA, prune=True).fit(instances)
-        assert len(pruned) <= len(unpruned)
 
 
 @st.composite

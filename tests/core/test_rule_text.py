@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classifier import RuleBasedClassifier
-from repro.core.dataset import (
-    AttributeKind,
-    BENIGN_CLASS,
-    MALICIOUS_CLASS,
-)
+from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from repro.core.features import ALEXA_BINS, FEATURE_NAMES, UNSIGNED
 from repro.core.rule_text import (
     RuleParseError,
@@ -22,11 +18,7 @@ from repro.core.rules import Condition, Rule, RuleSet
 
 def _cond(feature, value):
     return Condition(
-        feature=feature,
-        attribute=FEATURE_NAMES.index(feature),
-        kind=AttributeKind.CATEGORICAL,
-        operator="==",
-        value=value,
+        feature=feature, attribute=FEATURE_NAMES.index(feature), value=value
     )
 
 

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.core.dataset import AttributeKind, BENIGN_CLASS, MALICIOUS_CLASS
+from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from repro.core.features import FEATURE_NAMES, UNSIGNED
 from repro.core.rules import Condition, Rule, RuleSet
 
 
-def _cond(feature, value, operator="==", kind=AttributeKind.CATEGORICAL):
+def _cond(feature, value):
     return Condition(
         feature=feature,
-        attribute=FEATURE_NAMES.index(feature) if feature in FEATURE_NAMES else 0,
-        kind=kind,
-        operator=operator,
+        attribute=FEATURE_NAMES.index(feature),
         value=value,
     )
 
@@ -37,18 +35,6 @@ class TestCondition:
         condition = _cond("file_signer", "Somoto Ltd.")
         assert condition.matches(_vector(file_signer="Somoto Ltd."))
         assert not condition.matches(_vector(file_signer="TeamViewer"))
-
-    def test_numeric_operators(self):
-        le = Condition("x", 0, AttributeKind.NUMERIC, "<=", 5.0)
-        gt = Condition("x", 0, AttributeKind.NUMERIC, ">", 5.0)
-        assert le.matches((4.0,)) and not le.matches((6.0,))
-        assert gt.matches((6.0,)) and not gt.matches((4.0,))
-
-    def test_invalid_operator_rejected(self):
-        with pytest.raises(ValueError):
-            Condition("x", 0, AttributeKind.CATEGORICAL, "<=", "a")
-        with pytest.raises(ValueError):
-            Condition("x", 0, AttributeKind.NUMERIC, "~=", 1.0)
 
     def test_paper_style_rendering(self):
         assert _cond("file_signer", "SecureInstall").render() == (
@@ -139,9 +125,6 @@ class TestRuleSet:
     def test_select_drops_default(self):
         rules = self._ruleset()
         assert not any(rule.is_default for rule in rules.select(1.0))
-        assert any(
-            rule.is_default for rule in rules.select(1.0, drop_default=False)
-        )
 
     def test_select_min_coverage(self):
         rules = self._ruleset()

@@ -8,19 +8,14 @@ label-distribution drift detector.
 
 import pytest
 
-from repro.core.dataset import (
-    AttributeSpec,
-    BENIGN_CLASS,
-    Instance,
-    MALICIOUS_CLASS,
-)
+from repro.core.dataset import BENIGN_CLASS, Instance, MALICIOUS_CLASS
 from repro.core.drift import DistributionDriftDetector
 from repro.core.online import OnlineRuleClassifier
 from repro.core.part import PartLearner
 from repro.labeling.rescan import RescanScheduler
 from repro.labeling.virustotal import FINAL_QUERY_DAY
 
-SCHEMA = (AttributeSpec("signer"), AttributeSpec("packer"))
+SCHEMA = ("signer", "packer")
 
 
 def _feed(online, count, start_day=0.0, shas=False):

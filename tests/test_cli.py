@@ -113,6 +113,36 @@ class TestReport:
         assert "unknown files" in output.lower()
         assert builds.value == before + 1
 
+    def test_all_prints_paper_order(self, capsys):
+        assert main(["report", *SCALE, "--all"]) == 0
+        output = capsys.readouterr().out
+        for earlier, later in (
+            ("Table I:", "Table II:"),
+            ("Table II:", "Table X:"),
+            ("Table XIV:", "Figure 1:"),
+            ("Figure 6:", "Section II-C:"),
+        ):
+            assert output.index(earlier) < output.index(later)
+
+    def test_type_resolution_shares_match_the_attribute(self, capsys):
+        from repro import WorldConfig, build_session
+        from repro.reporting import fmt_pct
+
+        assert main(
+            ["report", *SCALE, "--experiment", "type_resolution"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Section II-C: Type resolution"
+        printed = {
+            line.split(":")[0]: line.split()[1] for line in lines[1:5]
+        }
+        fractions = build_session(
+            WorldConfig(seed=3, scale=0.002)
+        ).labeled.type_resolution_fractions
+        assert printed == {
+            name: fmt_pct(100 * share) for name, share in fractions.items()
+        }
+
 
 class TestRules:
     def test_prints_rules(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import AttributeSpec, Instance
+from repro.core.dataset import Instance
 from repro.core.part import PartLearner
 from repro.labeling.av import LEADING_ENGINES
 from repro.labeling.avtype import TypeExtractor
@@ -78,7 +78,7 @@ class TestCollectorInvariants:
 # Rule selection: tau and coverage thresholds are monotone
 # ----------------------------------------------------------------------
 
-_SCHEMA = (AttributeSpec("a"), AttributeSpec("b"))
+_SCHEMA = ("a", "b")
 
 _instances = st.lists(
     st.tuples(
