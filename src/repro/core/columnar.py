@@ -77,6 +77,10 @@ class FeatureCodec:
         """Current vocabulary size per feature column."""
         return tuple(len(vocab) for vocab in self._vocabs)
 
+    def values(self, attribute: int) -> List[str]:
+        """The interned values of one column, indexed by code."""
+        return list(self._vocabs[attribute])
+
     def code_of(self, attribute: int, value: object) -> Optional[int]:
         """The interned code of one value, or ``None`` if never seen.
 

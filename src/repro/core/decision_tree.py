@@ -8,6 +8,11 @@ the pessimistic error estimate (Wilson-style upper confidence bound, the
 single value of its split attribute, so no path splits an attribute
 twice and a tree is never deeper than its schema is wide.
 
+:func:`choose_split` is the one copy of the gain-ratio arithmetic and
+the average-gain rule: :class:`SplitSelector` calls it with counts over
+instance lists, and the code-matrix PART learner
+(:mod:`repro.core.part`) with counts over code-matrix rows.
+
 A standalone :class:`DecisionTree` classifier is exposed as well: the
 §VI-D tree-versus-rules baseline (``benchmarks/bench_baseline_tree.py``)
 builds one, and it lets the test suite exercise the split/prune
@@ -20,7 +25,7 @@ import dataclasses
 import math
 from collections import Counter, defaultdict
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dataset import Instance
 
@@ -86,7 +91,6 @@ class Leaf:
 
     prediction: str
     counts: Counter
-    developed: bool = True
 
     @property
     def coverage(self) -> int:
@@ -146,70 +150,95 @@ Node = Union[InnerNode, Leaf]
 # ----------------------------------------------------------------------
 
 
+def splittable(base_entropy: float, instances: int) -> bool:
+    """Whether C4.5 looks for a split at all: the node is impure and can
+    hold two branches of :data:`DEFAULT_MIN_INSTANCES`."""
+    return base_entropy != 0.0 and instances >= 2 * DEFAULT_MIN_INSTANCES
+
+
+#: One attribute's branches: ``(instances, class entropy)`` per value, in
+#: the order the values first appear among the node's instances.
+Branches = Sequence[Tuple[int, float]]
+
+
+def choose_split(
+    base_entropy: float,
+    instances: int,
+    attributes: Iterable[Tuple[int, Branches]],
+) -> Optional[int]:
+    """The attribute C4.5 splits a node of ``instances`` on, or ``None``
+    if no split helps.
+
+    ``attributes`` yields ``(attribute, branches)`` pairs.  A candidate
+    needs two values, two of them on at least
+    :data:`DEFAULT_MIN_INSTANCES` instances, and positive gain and split
+    information.  Among candidates with information gain at least the
+    average gain of all candidates, the highest gain ratio wins (then
+    the higher gain, then the lower attribute).
+
+    The floats depend on summation order, and gain-ratio ties decide
+    rules, so each branch term is added in ``branches`` order.
+    """
+    candidates: List[Tuple[float, float, int]] = []  # (gain, ratio, attr)
+    for attribute, branches in attributes:
+        if len(branches) < 2:
+            continue
+        big_enough = 0
+        conditional = 0.0
+        split_info = 0.0
+        for size, branch_entropy in branches:
+            if size >= DEFAULT_MIN_INSTANCES:
+                big_enough += 1
+            weight = size / instances
+            conditional += weight * branch_entropy
+            split_info -= weight * math.log2(weight)
+        gain = base_entropy - conditional
+        if big_enough < 2 or gain <= 1e-12 or split_info <= 1e-12:
+            continue
+        candidates.append((gain, gain / split_info, attribute))
+    if not candidates:
+        return None
+    average_gain = sum(gain for gain, _, _ in candidates) / len(candidates)
+    admissible = [
+        (-ratio, -gain, attribute)
+        for gain, ratio, attribute in candidates
+        if gain >= average_gain - 1e-12
+    ]
+    if not admissible:
+        return None
+    return min(admissible)[2]
+
+
 class SplitSelector:
-    """Chooses the best gain-ratio split, C4.5-style."""
+    """Chooses the best gain-ratio split of a list of instances."""
 
     def __init__(self, schema: Sequence[str]) -> None:
         self.schema = tuple(schema)
 
     def best_split(self, instances: Sequence[Instance]) -> Optional[Split]:
-        """The best admissible split, or ``None`` if no split helps.
-
-        Implements C4.5's heuristic: among candidate splits with
-        information gain at least the average gain of all positive-gain
-        candidates, pick the one with the highest gain ratio.
-        """
+        """The best admissible split (:func:`choose_split`), or ``None``."""
         base_entropy = entropy(class_counts(instances))
-        if base_entropy == 0.0 or len(instances) < 2 * DEFAULT_MIN_INSTANCES:
+        if not splittable(base_entropy, len(instances)):
             return None
-        candidates: List[Tuple[float, float, Split]] = []  # (gain, ratio, s)
-        for index in range(len(self.schema)):
-            candidate = self._categorical_candidate(
-                instances, index, base_entropy
-            )
-            if candidate is not None:
-                candidates.append(candidate)
-        if not candidates:
-            return None
-        average_gain = sum(gain for gain, _, _ in candidates) / len(candidates)
-        admissible = [
-            (ratio, -gain, split)
-            for gain, ratio, split in candidates
-            if gain >= average_gain - 1e-12
-        ]
-        if not admissible:
-            return None
-        admissible.sort(key=lambda item: (-item[0], item[1], item[2].attribute))
-        return admissible[0][2]
+        attribute = choose_split(
+            base_entropy,
+            len(instances),
+            (
+                (index, self._branches(instances, index))
+                for index in range(len(self.schema))
+            ),
+        )
+        return None if attribute is None else Split(attribute)
 
-    def _categorical_candidate(
-        self,
-        instances: Sequence[Instance],
-        index: int,
-        base_entropy: float,
-    ) -> Optional[Tuple[float, float, Split]]:
+    @staticmethod
+    def _branches(instances: Sequence[Instance], index: int) -> Branches:
         branch_counts: Dict[str, Counter] = defaultdict(Counter)
         for instance in instances:
             branch_counts[str(instance.values[index])][instance.label] += 1
-        if len(branch_counts) < 2:
-            return None
-        total = len(instances)
-        big_enough = sum(
-            1 for counts in branch_counts.values()
-            if sum(counts.values()) >= DEFAULT_MIN_INSTANCES
-        )
-        if big_enough < 2:
-            return None
-        conditional = 0.0
-        split_info = 0.0
-        for counts in branch_counts.values():
-            weight = sum(counts.values()) / total
-            conditional += weight * entropy(counts)
-            split_info -= weight * math.log2(weight)
-        gain = base_entropy - conditional
-        if gain <= 1e-12 or split_info <= 1e-12:
-            return None
-        return gain, gain / split_info, Split(index)
+        return [
+            (sum(counts.values()), entropy(counts))
+            for counts in branch_counts.values()
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +246,11 @@ class SplitSelector:
 # ----------------------------------------------------------------------
 
 
-def make_leaf(instances: Sequence[Instance], developed: bool = True) -> Leaf:
+def make_leaf(instances: Sequence[Instance]) -> Leaf:
     """A leaf predicting the majority class (ties broken alphabetically)."""
     counts = class_counts(instances)
     prediction = max(sorted(counts), key=lambda label: counts[label])
-    return Leaf(prediction=prediction, counts=counts, developed=developed)
+    return Leaf(prediction=prediction, counts=counts)
 
 
 def subtree_errors(node: Node) -> float:

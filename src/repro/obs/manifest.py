@@ -29,11 +29,11 @@ from . import trace as _trace
 __all__ = ["RunManifest", "build_manifest", "git_revision", "load_manifest"]
 
 
-def git_revision(cwd: Optional[Path] = None) -> Optional[str]:
-    """The current git commit hash, or ``None`` outside a checkout."""
+def _git(args: List[str], cwd: Optional[Path]):
+    """A finished ``git`` process, or ``None`` if git could not run."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+        return subprocess.run(
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=5,
@@ -41,9 +41,25 @@ def git_revision(cwd: Optional[Path] = None) -> Optional[str]:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    if proc.returncode != 0:
+
+
+def git_revision(cwd: Optional[Path] = None) -> Optional[str]:
+    """The current git commit hash, or ``None`` outside a checkout.
+
+    ``<sha>-dirty`` when a tracked file under the checkout's ``src/``
+    differs from ``HEAD``: the code that ran is then not that commit's.
+    Untracked files and edits outside ``src/`` do not count, because
+    regenerating the paper artifacts rewrites tracked files under
+    ``benchmarks/output/``.
+    """
+    head = _git(["rev-parse", "HEAD"], cwd)
+    if head is None or head.returncode != 0 or not head.stdout.strip():
         return None
-    return proc.stdout.strip() or None
+    revision = head.stdout.strip()
+    diff = _git(["diff", "--quiet", "HEAD", "--", ":(top)src"], cwd)
+    if diff is not None and diff.returncode == 1:
+        return revision + "-dirty"
+    return revision
 
 
 def _versions() -> Dict[str, str]:

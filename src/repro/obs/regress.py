@@ -12,9 +12,9 @@ tables come from the CLI, and the experiment scripts under
   around each bench via :func:`repro.obs.resources.reset_peak_rss`) and
   a throughput figure;
 * a **trajectory file** (``benchmarks/output/BENCH_trajectory.json``)
-  of schema-versioned entries -- git revision, timestamp, params,
-  timings -- appended to by every ``repro bench`` run, so the numbers
-  form a history instead of a snapshot;
+  of schema-versioned entries -- git revision, timestamp, host CPU
+  count, params, timings -- appended to by every ``repro bench`` run,
+  so the numbers form a history instead of a snapshot;
 * a **gate** (:func:`check_entry`): a new run is compared against the
   *median* of the trajectory entries with the same ``(bench, params)``
   key and flagged when wall time regresses by more than 20% or peak RSS
@@ -399,6 +399,7 @@ def entry_from_result(result: BenchResult) -> Dict[str, Any]:
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
         ),
         "git_rev": obs_manifest.git_revision(),
+        "cpu_count": os.cpu_count(),
         "params": dict(result.params),
         "wall_seconds": result.wall_seconds,
         "peak_rss_kb": result.peak_rss_kb,

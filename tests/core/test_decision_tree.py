@@ -160,8 +160,3 @@ class TestSubtreeErrors:
         )
         assert leaf.errors == 1
         assert subtree_errors(leaf) > 1.0
-
-    def test_undeveloped_flag(self):
-        leaf = make_leaf([_inst(("a", "x"), "benign")], developed=False)
-        assert not leaf.developed
-        assert leaf.prediction == "benign"

@@ -24,6 +24,22 @@ def _separable_dataset():
     )
 
 
+#: The fixed datasets fitted below; ``test_part_reference.py`` fits
+#: each with the reference learner too.
+FIXTURES = {
+    "separable": _separable_dataset(),
+    # "unsigned -> malicious" is clean on the remainder after signed
+    # benign files are removed, but dirty on the full set.
+    "restated": (
+        [_inst("unsigned", "nsis", "malicious")] * 10
+        + [_inst("unsigned", "inno", "benign")] * 4
+        + [_inst("teamviewer", "inno", "benign")] * 6
+    ),
+    "single_class": [_inst("a", "b", "benign")] * 5,
+    "empty": [],
+}
+
+
 class TestFit:
     def test_rules_cover_all_instances(self):
         instances = _separable_dataset()
@@ -55,7 +71,7 @@ class TestFit:
         assert len(rules) == 0
 
     def test_single_class_gives_default_rule(self):
-        instances = [_inst("a", "b", "benign")] * 5
+        instances = FIXTURES["single_class"]
         rules = PartLearner(SCHEMA).fit(instances)
         assert len(rules) == 1
         assert rules.rules[0].is_default
@@ -69,14 +85,8 @@ class TestFit:
 
 class TestRestatedStatistics:
     def test_rule_stats_measured_on_full_training_set(self):
-        # "unsigned -> malicious" is clean on the remainder after signed
-        # benign files are removed, but dirty on the full set; restating
-        # must expose that.
-        instances = (
-            [_inst("unsigned", "nsis", "malicious")] * 10
-            + [_inst("unsigned", "inno", "benign")] * 4
-            + [_inst("teamviewer", "inno", "benign")] * 6
-        )
+        # Restating must expose the errors of "unsigned -> malicious".
+        instances = FIXTURES["restated"]
         rules = PartLearner(SCHEMA).fit(instances)
         for rule in rules:
             expected_coverage = sum(

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import re
+import shutil
+import subprocess
+
+import pytest
 
 from repro.obs import trace
-from repro.obs.manifest import build_manifest, load_manifest
+from repro.obs.manifest import build_manifest, git_revision, load_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.synth.cache import config_digest
 from repro.synth.world import WorldConfig
@@ -67,3 +72,42 @@ class TestRoundTrip:
         payload = manifest.to_dict()
         payload["future_field"] = "ignored"
         assert type(manifest).from_dict(payload) == manifest
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitRevision:
+    """``git_revision`` marks a checkout whose ``src/`` has local edits."""
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "code.py").write_text("x = 1\n")
+        (tmp_path / "out.txt").write_text("table\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "init")
+        return tmp_path
+
+    def test_clean_checkout_is_the_bare_sha(self, checkout):
+        assert re.fullmatch(r"[0-9a-f]{40}", git_revision(checkout))
+
+    def test_edited_tracked_source_is_dirty(self, checkout):
+        clean = git_revision(checkout)
+        (checkout / "src" / "code.py").write_text("x = 2\n")
+        assert git_revision(checkout) == clean + "-dirty"
+        # Also from a subdirectory of the checkout.
+        assert git_revision(checkout / "src") == clean + "-dirty"
+
+    def test_outputs_and_untracked_files_stay_clean(self, checkout):
+        clean = git_revision(checkout)
+        (checkout / "out.txt").write_text("regenerated\n")
+        (checkout / "src" / "new.py").write_text("y = 1\n")
+        (checkout / "notes.txt").write_text("scratch\n")
+        assert git_revision(checkout) == clean

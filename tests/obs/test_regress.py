@@ -1,6 +1,7 @@
 """Tests for the bench trajectory and perf-regression gate."""
 
 import json
+import os
 
 import pytest
 
@@ -57,6 +58,7 @@ class TestTrajectory:
         loaded = regress.load_trajectory(path)
         assert len(loaded) == 2
         assert loaded[0]["bench"] == "fake"
+        assert loaded[0]["cpu_count"] == os.cpu_count()
         assert loaded[0]["schema_version"] == regress.SCHEMA_VERSION
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == regress.SCHEMA_VERSION
@@ -68,6 +70,9 @@ class TestTrajectory:
         assert regress.match_key(a) == regress.match_key(dict(a))
         assert regress.match_key(a) != regress.match_key(b)
         assert regress.match_key(a) != regress.match_key(c)
+        # The host is recorded, but does not (yet) separate entries.
+        d = dict(a, cpu_count=(a["cpu_count"] or 1) + 1)
+        assert regress.match_key(a) == regress.match_key(d)
 
 
 class TestGate:
