@@ -103,11 +103,14 @@ class TestFaithfulSamplesPass:
     @settings(max_examples=40, deadline=None)
     def test_ks_same_distribution_passes(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=2_000)
-        b = rng.normal(size=2_000)
+        a = rng.normal(size=5_000)
+        b = rng.normal(size=5_000)
         outcome = ks_2samp(a, b)
         # 0.08 is the prevalence_tail_malicious tolerance; same-law
-        # samples at n=2k exceed it with probability ~5e-6.
+        # samples at n=5k exceed it with probability ~2e-14.  At n=2k
+        # that probability is ~5e-6, which hypothesis does reach: seed
+        # 511035 draws D=0.0815, p=3e-6 (scipy agrees), and the example
+        # database then replays it on every run.
         assert _passes_gate(outcome, tolerance=0.08)
 
     @given(
