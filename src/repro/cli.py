@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Fifteen subcommands cover the common workflows::
+Twelve subcommands cover the common workflows::
 
-    python -m repro.cli generate --scale 0.01 --out corpus/
     python -m repro.cli export   --scale 0.01 --out store/ --compress \
         --chunk-rows 100000
     python -m repro.cli import   store/
@@ -16,23 +15,20 @@ Fifteen subcommands cover the common workflows::
         --report-out fidelity_report.json
     python -m repro.cli profile  --out run.collapsed run --scale 0.01
     python -m repro.cli bench    --check --quick
-    python -m repro.cli trials   --scale 0.003 --jobs-list 1,2
     python -m repro.cli serve    --scale 0.01 --out serve-store/ \
-        --agents 4 --lifecycle
-    python -m repro.cli loadgen  --scale 0.01 --out serve-store/ \
-        --rate 50000 --poison-every 1000
+        --agents 4 --lifecycle --poison-every 1000
 
-``generate`` exports the telemetry corpus (and its ground truth) as
-JSONL; ``export`` writes the corpus as a versioned, checksummed dataset
-store (:mod:`repro.telemetry.store` -- optionally gzip-compressed and
-chunked) and ``import`` reads one back with full verification (or
-``--lenient`` quarantining), exiting non-zero on any integrity fault;
-``report`` renders any subset of the paper's tables/figures; ``rules``
-prints the learned human-readable rules for one training month;
-``evaluate`` runs the full Tables XVI/XVII experiment; ``run`` executes
-the whole pipeline once (generate, collect, label, learn, evaluate) and
-is the natural companion of the observability flags; ``stats`` prints the span
-tree and metrics snapshot for a run; ``validate`` is the statistical
+``export`` writes the telemetry corpus as a versioned, checksummed
+dataset store (:mod:`repro.telemetry.store` -- optionally gzip-compressed
+and chunked) plus its ground truth (``labels.jsonl``), and ``import``
+reads a store back with full verification (or ``--lenient``
+quarantining), exiting non-zero on any integrity fault; ``report``
+renders any subset of the paper's tables/figures; ``rules`` prints the
+learned human-readable rules for one training month; ``evaluate`` runs
+the full Tables XVI/XVII experiment; ``run`` executes the whole pipeline
+once (generate, collect, label, learn, evaluate) and is the natural
+companion of the observability flags; ``stats`` prints the span tree
+and metrics snapshot for a run; ``validate`` is the statistical
 fidelity gate (:mod:`repro.validation`) -- it sweeps worlds across
 seeds, tests every calibration target, prints the verdict table,
 optionally writes the machine-readable report, and exits non-zero when
@@ -41,9 +37,10 @@ profiler (:mod:`repro.obs.profile`) -- the top-N self-time table goes
 to stderr and ``--out PATH`` also writes collapsed flamegraph stacks;
 ``bench`` runs the registered perf benches, appends to the BENCH
 trajectory and -- with ``--check`` -- gates the run against the
-trajectory median (:mod:`repro.obs.regress`); ``trials`` sweeps jobs and
-memory budgets and fails unless every configuration yields the same
-dataset digest; ``avtype`` is the standalone behavior-type extractor.
+trajectory median (:mod:`repro.obs.regress`); ``serve`` streams the
+corpus through the ingestion service, optionally under an injected
+fault schedule, and fails unless the streamed store matches batch
+collection; ``avtype`` is the standalone behavior-type extractor.
 
 Every world-building subcommand accepts ``--trace`` (print the span
 tree after the run), ``--resources`` (per-span RSS/CPU/GC attributes
@@ -62,7 +59,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from . import reporting
+from . import reporting, sched
 from .core.evaluation import full_evaluation, learn_rules
 from .obs import manifest as obs_manifest
 from .obs import metrics as obs_metrics
@@ -191,35 +188,8 @@ def _session(args: argparse.Namespace) -> Session:
     return build_session(config, jobs=args.jobs, cache=not args.no_cache)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    session = _session(args)
-    out = Path(args.out)
-    telemetry_store.save_dataset(session.dataset, out)
-    labels_path = out / "labels.jsonl"
-    with open(labels_path, "w", encoding="utf-8") as handle:
-        for sha1, label in sorted(session.labeled.file_labels.items()):
-            extraction = session.labeled.file_types.get(sha1)
-            handle.write(
-                json.dumps(
-                    {
-                        "sha1": sha1,
-                        "label": label.value,
-                        "type": extraction.mtype.value if extraction else None,
-                        "family": session.labeled.file_families.get(sha1),
-                    }
-                )
-                + "\n"
-            )
-    print(
-        f"wrote {len(session.dataset.events)} events, "
-        f"{len(session.dataset.files)} files and their ground truth to "
-        f"{out}/"
-    )
-    return 0
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
-    """Export the telemetry corpus as a verified dataset store."""
+    """Export the corpus as a verified dataset store plus its labels."""
     session = _session(args)
     path = export_session(
         session,
@@ -227,6 +197,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
         compress=args.compress,
         chunk_rows=args.chunk_rows,
     )
+    labeled = session.labeled
+    with open(path / "labels.jsonl", "w", encoding="utf-8") as handle:
+        for sha1, label in sorted(labeled.file_labels.items()):
+            extraction = labeled.file_types.get(sha1)
+            record = {
+                "sha1": sha1,
+                "label": label.value,
+                "type": extraction.mtype.value if extraction else None,
+                "family": labeled.file_families.get(sha1),
+            }
+            handle.write(json.dumps(record) + "\n")
     manifest = telemetry_store.read_manifest(path)
     assert manifest is not None  # save_dataset always writes one
     print(
@@ -561,81 +542,45 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trials(args: argparse.Namespace) -> int:
-    """Run the trial grid: throughput vs memory vs fidelity trade-offs."""
-    from . import sched
-    from .obs import regress
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Stream a corpus through the ingestion service; verify equivalence."""
+    from .pipeline import stream_session
+    from .serve import FaultSchedule, InjectedCrash, QueuePolicy, ServeConfig
 
-    def _floats(raw: str) -> List[Optional[float]]:
-        values: List[Optional[float]] = []
-        for token in raw.split(","):
-            token = token.strip().lower()
-            if not token:
-                continue
-            values.append(
-                None if token in {"none", "-", "0"} else float(token)
-            )
-        return values or [None]
-
-    jobs_list = [
-        int(token) for token in args.jobs_list.split(",") if token.strip()
-    ]
-    if not jobs_list:
-        print("trials: --jobs-list must name at least one jobs setting",
-              file=sys.stderr)
-        return 2
-    budgets = _floats(args.memory_budgets_mb)
-    depths = [
-        None if value is None else int(value)
-        for value in _floats(args.queue_depths)
-    ]
-    configs = [
-        sched.TrialConfig(jobs=jobs, memory_mb=memory, queue_depth=depth)
-        for jobs in jobs_list
-        for memory in budgets
-        for depth in depths
-    ]
-    report = sched.run_trials(
-        scale=args.scale,
-        seed=args.seed,
-        shards=args.shards,
-        configs=configs,
-        repeats=args.repeats,
-        fidelity=args.fidelity,
-    )
-    print(report.render())
-    if args.out:
-        path = report.write(Path(args.out))
-        print(f"wrote trial report to {path}", file=sys.stderr)
-    if not args.no_append:
-        trajectory = Path(args.trajectory)
-        entries = report.trajectory_entries()
-        regress.append_entries(trajectory, entries)
-        print(f"appended {len(entries)} entries to {trajectory}",
-              file=sys.stderr)
-    if not report.digests_consistent:
-        print("trials: FAIL -- configurations produced different dataset "
-              "digests", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _serve_config(args: argparse.Namespace):
-    from .serve import QueuePolicy, ServeConfig
-
-    return ServeConfig(
+    serve_config = ServeConfig(
         queue_capacity=args.queue_capacity,
-        queue_policy=(
-            QueuePolicy.SHED if args.queue_policy == "shed"
-            else QueuePolicy.BLOCK
-        ),
+        queue_policy=QueuePolicy(args.queue_policy),
         batch_max=args.batch_max,
         flush_interval=args.flush_interval,
         compress=args.compress,
     )
-
-
-def _print_stream_outcome(outcome, *, check_digest: bool) -> int:
+    faults = None
+    if args.poison_every or args.sigterm_after or args.crash_after_parts:
+        faults = FaultSchedule(
+            crash_after_parts=args.crash_after_parts,
+            poison_every=args.poison_every,
+            sigterm_after_events=args.sigterm_after,
+        )
+    try:
+        outcome = stream_session(
+            _world_config(args),
+            args.out,
+            agents=args.agents,
+            serve_config=serve_config,
+            faults=faults,
+            lifecycle=args.lifecycle,
+            matured=not args.live_labels,
+            threaded=not args.inline,
+            rate_per_sec=args.rate,
+            resume=args.resume,
+            jobs=args.jobs,
+            cache=not args.no_cache,
+        )
+    except InjectedCrash as exc:
+        print(f"injected crash: {exc}", file=sys.stderr)
+        print(f"store checkpoint left in {args.out}; rerun with --resume "
+              f"to recover and finish the stream", file=sys.stderr)
+        return 1
     ingest = outcome.ingest
     load = outcome.load
     print(f"agents={load.agents} produced={load.produced} "
@@ -659,73 +604,16 @@ def _print_stream_outcome(outcome, *, check_digest: bool) -> int:
               f"{lifecycle.months_closed} months closed "
               f"({rules}), {len(lifecycle.shifts)} drift shifts, "
               f"{lifecycle.label_flips} label flips")
-    lossy = ingest.shed > 0 or load.stopped_early
-    if not check_digest:
-        return 0
     if outcome.digest_match:
         print("equivalence: OK (streamed store digest == batch collect)")
         return 0
-    if lossy:
+    if ingest.shed > 0 or load.stopped_early:
         print("equivalence: SKIPPED (run was lossy: shed events or an "
               "early stop); the oracle only covers lossless runs")
         return 0
     print("equivalence: FAIL (streamed store digest != batch collect)",
           file=sys.stderr)
     return 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Stream a corpus through the ingestion service; verify equivalence."""
-    from .pipeline import stream_session
-
-    config = _world_config(args)
-    outcome = stream_session(
-        config,
-        args.out,
-        agents=args.agents,
-        serve_config=_serve_config(args),
-        lifecycle=args.lifecycle,
-        matured=not args.live_labels,
-        threaded=not args.inline,
-        rate_per_sec=args.rate,
-        resume=args.resume,
-        jobs=args.jobs,
-    )
-    return _print_stream_outcome(outcome, check_digest=True)
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive the service with paced, fault-injected load."""
-    from .pipeline import stream_session
-    from .serve import FaultSchedule, InjectedCrash
-
-    faults = None
-    if (args.poison_every or args.sigterm_after
-            or args.crash_after_parts):
-        faults = FaultSchedule(
-            crash_after_parts=args.crash_after_parts,
-            poison_every=args.poison_every,
-            sigterm_after_events=args.sigterm_after,
-        )
-    config = _world_config(args)
-    try:
-        outcome = stream_session(
-            config,
-            args.out,
-            agents=args.agents,
-            serve_config=_serve_config(args),
-            faults=faults,
-            threaded=not args.inline,
-            rate_per_sec=args.rate,
-            resume=args.resume,
-            jobs=args.jobs,
-        )
-    except InjectedCrash as exc:
-        print(f"injected crash: {exc}", file=sys.stderr)
-        print(f"store checkpoint left in {args.out}; rerun with --resume "
-              f"to recover and finish the stream", file=sys.stderr)
-        return 1
-    return _print_stream_outcome(outcome, check_digest=args.check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,17 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    generate = commands.add_parser(
-        "generate", help="generate a corpus and export it as JSONL"
-    )
-    _add_world_arguments(generate)
-    generate.add_argument("--out", required=True, help="output directory")
-    generate.set_defaults(func=_cmd_generate)
-
     export = commands.add_parser(
         "export",
         help="export the corpus as a checksummed dataset store "
-             "(optionally compressed/chunked)",
+             "(optionally compressed/chunked) plus its ground-truth "
+             "labels.jsonl",
     )
     _add_world_arguments(export)
     export.add_argument("--out", required=True, help="store directory")
@@ -916,78 +798,42 @@ def build_parser() -> argparse.ArgumentParser:
                             "wall_seconds=0.35 (repeatable)")
     bench.set_defaults(func=_cmd_bench)
 
-    trials = commands.add_parser(
-        "trials",
-        help="run structured repeated trials over jobs/budget settings "
-             "and record throughput-vs-memory-vs-fidelity trade-offs",
-    )
-    trials.add_argument("--scale", type=float, default=0.01,
-                        help="corpus scale for every trial (default 0.01)")
-    trials.add_argument("--seed", type=int, default=3,
-                        help="world seed shared by every trial (default 3)")
-    trials.add_argument("--shards", type=int, default=8,
-                        help="generation shards (default 8)")
-    trials.add_argument("--jobs-list", default="1,2", metavar="N,N,...",
-                        help="jobs settings to sweep (default 1,2)")
-    trials.add_argument("--memory-budgets-mb", default="", metavar="MB,...",
-                        help="memory budgets to sweep; 'none'/'-' (or "
-                             "empty) adds the unconstrained point")
-    trials.add_argument("--queue-depths", default="", metavar="N,...",
-                        help="in-flight window depths to sweep (default: "
-                             "orchestrator default only)")
-    trials.add_argument("--repeats", type=int, default=1,
-                        help="repeated trials per configuration (default 1)")
-    trials.add_argument("--fidelity", action="store_true",
-                        help="additionally label the trial world and score "
-                             "every calibration target on it")
-    trials.add_argument("--out", metavar="PATH",
-                        help="write the trade-off report JSON here")
-    trials.add_argument("--trajectory", metavar="PATH",
-                        default="benchmarks/output/BENCH_trajectory.json",
-                        help="bench trajectory to append curve points to")
-    trials.add_argument("--no-append", action="store_true",
-                        help="measure without recording in the trajectory")
-    trials.set_defaults(func=_cmd_trials)
-
-    def _add_serve_arguments(sub: argparse.ArgumentParser) -> None:
-        _add_world_arguments(sub)
-        sub.add_argument("--out", default="serve-store",
-                         help="store directory the service writes "
-                              "(default serve-store)")
-        sub.add_argument("--agents", type=int, default=4,
-                         help="simulated machine agents at the edge "
-                              "(default 4)")
-        sub.add_argument("--batch-max", type=int, default=512,
-                         help="events coalesced per store part "
-                              "(default 512)")
-        sub.add_argument("--flush-interval", type=float, default=0.05,
-                         help="seconds a partial batch may wait before "
-                              "flushing (default 0.05)")
-        sub.add_argument("--queue-capacity", type=int, default=4096,
-                         help="bounded ingest queue depth (default 4096)")
-        sub.add_argument("--queue-policy", choices=("block", "shed"),
-                         default="block",
-                         help="backpressure policy when the queue is full "
-                              "(default block)")
-        sub.add_argument("--compress", action="store_true",
-                         help="gzip the store parts")
-        sub.add_argument("--rate", type=float, default=None,
-                         help="pace producers to this many events/sec "
-                              "(default: unthrottled)")
-        sub.add_argument("--inline", action="store_true",
-                         help="consume on the caller's thread instead of "
-                              "the queue + consumer thread (deterministic "
-                              "part layout)")
-        sub.add_argument("--resume", action="store_true",
-                         help="resume a crashed run from the store's "
-                              "ingest checkpoint")
-
     serve = commands.add_parser(
         "serve",
-        help="run the streaming ingestion service over a synthetic "
-             "corpus and verify digest equivalence with batch collect",
+        help="stream the corpus through the ingestion service, optionally "
+             "under injected faults (poison records, mid-batch crashes, "
+             "SIGTERM), and verify digest equivalence with batch collect",
     )
-    _add_serve_arguments(serve)
+    _add_world_arguments(serve)
+    serve.add_argument("--out", default="serve-store",
+                       help="store directory the service writes "
+                            "(default serve-store)")
+    serve.add_argument("--agents", type=int, default=4,
+                       help="simulated machine agents at the edge "
+                            "(default 4)")
+    serve.add_argument("--batch-max", type=int, default=512,
+                       help="events coalesced per store part (default 512)")
+    serve.add_argument("--flush-interval", type=float, default=0.05,
+                       help="seconds a partial batch may wait before "
+                            "flushing (default 0.05)")
+    serve.add_argument("--queue-capacity", type=int, default=4096,
+                       help="bounded ingest queue depth (default 4096)")
+    serve.add_argument("--queue-policy", choices=("block", "shed"),
+                       default="block",
+                       help="backpressure policy when the queue is full "
+                            "(default block)")
+    serve.add_argument("--compress", action="store_true",
+                       help="gzip the store parts")
+    serve.add_argument("--rate", type=float, default=None,
+                       help="pace producers to this many events/sec "
+                            "(default: unthrottled)")
+    serve.add_argument("--inline", action="store_true",
+                       help="consume on the caller's thread instead of the "
+                            "queue + consumer thread (deterministic part "
+                            "layout)")
+    serve.add_argument("--resume", action="store_true",
+                       help="resume a crashed run from the store's ingest "
+                            "checkpoint")
     serve.add_argument("--lifecycle", action="store_true",
                        help="tap reported events into the online rule "
                             "lifecycle (month-boundary retrains + drift "
@@ -996,30 +842,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --lifecycle: label files at first sight "
                             "and refresh via simulated VT rescans instead "
                             "of matured ground truth")
+    serve.add_argument("--poison-every", type=int, default=None,
+                       metavar="N",
+                       help="splice one undecodable record into the stream "
+                            "every N events")
+    serve.add_argument("--crash-after-parts", type=int, default=None,
+                       metavar="N",
+                       help="crash the writer after its Nth store part, "
+                            "before the checkpoint lands")
+    serve.add_argument("--sigterm-after", type=int, default=None,
+                       metavar="N",
+                       help="stop producing after N events, as if SIGTERM "
+                            "arrived mid-stream")
     serve.set_defaults(func=_cmd_serve)
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive the ingestion service with paced, fault-injected "
-             "load (poison records, mid-batch crashes, SIGTERM)",
-    )
-    _add_serve_arguments(loadgen)
-    loadgen.add_argument("--poison-every", type=int, default=None,
-                         metavar="N",
-                         help="splice one undecodable record into the "
-                              "stream every N events")
-    loadgen.add_argument("--crash-after-parts", type=int, default=None,
-                         metavar="N",
-                         help="crash the writer after its Nth store part, "
-                              "before the checkpoint lands")
-    loadgen.add_argument("--sigterm-after", type=int, default=None,
-                         metavar="N",
-                         help="stop producing after N events, as if "
-                              "SIGTERM arrived mid-stream")
-    loadgen.add_argument("--check", action="store_true",
-                         help="also verify digest equivalence (lossy runs "
-                              "are reported, not failed)")
-    loadgen.set_defaults(func=_cmd_loadgen)
     return parser
 
 
@@ -1037,11 +872,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     budget_mb = getattr(args, "memory_budget_mb", None)
     previous_budget = None
     if budget_mb is not None:
-        from . import sched
-
-        previous_budget = sched.set_default_budget(
-            sched.StageBudget(memory_mb=budget_mb)
-        )
+        # The previous ceiling may itself be None: restore on budget_mb.
+        previous_budget = sched.set_memory_budget(budget_mb)
     start = time.perf_counter()
     try:
         status = args.func(args)
@@ -1053,10 +885,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args, wall_seconds=time.perf_counter() - start
             )
     finally:
-        if previous_budget is not None:
-            from . import sched
-
-            sched.set_default_budget(previous_budget)
+        if budget_mb is not None:
+            sched.set_memory_budget(previous_budget)
         if track_resources:
             obs_resources.disable()
         if tracing:

@@ -21,8 +21,8 @@ Performance shape (this is the pipeline's batch-scoring hot path):
   :mod:`repro.core.columnar` (interned features, compiled rule masks,
   row dedup) -- the scalar walk stays as the reference implementation;
 * the six ``(T_tr, T_ts)`` experiments are independent, so
-  :func:`full_evaluation` can fan them out over a process pool
-  (``jobs``), with a sequential fallback producing identical rows;
+  :func:`full_evaluation` hands them to the run orchestrator, which runs
+  them on ``jobs`` workers; every ``jobs`` value produces identical rows;
 * :func:`learn_rules` memoizes learned rule lists by the content digest
   of ``(labeled, alexa, month)``, so tau sweeps and ablation benches
   stop re-learning identical rule lists.
@@ -31,7 +31,6 @@ Performance shape (this is the pipeline's batch-scoring hot path):
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import sched
@@ -341,17 +340,6 @@ class FullEvaluation:
         ) / len(runs)
 
 
-def _month_pair_worker(
-    labeled: LabeledDataset,
-    alexa: AlexaService,
-    train_month: int,
-    taus: Sequence[float],
-    policy: ConflictPolicy,
-) -> List[MonthlyEvaluation]:
-    """Process-pool entry point: one month pair, all taus."""
-    return evaluate_month_pair(labeled, alexa, train_month, taus, policy)
-
-
 def full_evaluation(
     labeled: LabeledDataset,
     alexa: AlexaService,
@@ -362,9 +350,10 @@ def full_evaluation(
 ) -> FullEvaluation:
     """Run every consecutive month pair (Jan-Feb ... Jun-Jul).
 
-    The month pairs are independent experiments; ``jobs > 1`` fans them
-    out over a process pool (``None`` means one worker per core), the
-    same pattern as the generation engine in
+    The month pairs are independent experiments, handed to the run
+    orchestrator (:mod:`repro.sched`) as one task each: ``jobs > 1``
+    fans them out over its process pool (``None`` means one worker per
+    core), the same pattern as the generation engine in
     :mod:`repro.synth.engine`.  Runs are returned in month order
     whatever ``jobs`` is, and the rows are identical to a sequential
     run (guarded by tests); spans and counters recorded inside workers
@@ -376,41 +365,31 @@ def full_evaluation(
         list(train_months) if train_months is not None
         else list(range(NUM_MONTHS - 1))
     )
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, max(1, len(months)))
+    orchestrator = sched.Orchestrator("core.month_pairs", jobs=jobs)
     runs: List[MonthlyEvaluation] = []
     with trace.span(
-        "core.full_evaluation", months=len(months), jobs=workers
+        "core.full_evaluation",
+        months=len(months),
+        jobs=orchestrator.resolve_workers(len(months)),
     ) as fan:
-        if workers <= 1 or len(months) <= 1:
-            for month in months:
-                runs.extend(
-                    evaluate_month_pair(labeled, alexa, month, taus, policy)
+        outcome = orchestrator.run(
+            [
+                sched.TaskSpec(
+                    fn=evaluate_month_pair,
+                    args=(labeled, alexa, month, taus, policy),
+                    tag=month,
                 )
-        else:
-            outcome = sched.run_stage(
-                "core.month_pairs",
-                [
-                    sched.TaskSpec(
-                        fn=_month_pair_worker,
-                        args=(labeled, alexa, month, taus, policy),
-                        tag=month,
-                    )
-                    for month in months
-                ],
-                jobs=workers,
-                parent_span=fan,
-            )
-            if outcome.parallel:
-                obs_metrics.counter(
-                    "eval.month_pairs_parallel",
-                    "Month-pair experiments evaluated via the process pool",
-                ).inc(len(months))
-            for result in outcome.results:
-                runs.extend(result)
+                for month in months
+            ],
+            parent_span=fan,
+        )
+        if outcome.parallel:
+            obs_metrics.counter(
+                "eval.month_pairs_parallel",
+                "Month-pair experiments evaluated via the process pool",
+            ).inc(len(months))
+        for result in outcome.results:
+            runs.extend(result)
     return FullEvaluation(runs=runs)
 
 

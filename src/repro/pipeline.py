@@ -158,23 +158,25 @@ def stream_session(
     rate_per_sec: Optional[float] = None,
     resume: bool = False,
     jobs: Optional[int] = None,
+    cache: bool = True,
 ) -> StreamOutcome:
     """Run the streaming ingestion path for one config, end to end.
 
-    Builds (or reuses) the batch session for the config, then replays
-    its raw corpus through a :class:`repro.serve.LoadGenerator` agent
-    fleet into an :class:`repro.serve.IngestService` writing
-    ``directory``.  With ``lifecycle=True`` a
-    :class:`repro.serve.RuleLifecycle` taps the reported stream and
-    retrains rules at every month boundary (``matured=False`` switches
-    its ground truth to rescan-refreshed live labels).  The batch
+    Builds (or, with ``cache=True``, reuses) the batch session for the
+    config, then replays its raw corpus through a
+    :class:`repro.serve.LoadGenerator` agent fleet into an
+    :class:`repro.serve.IngestService` writing ``directory``.  With
+    ``lifecycle=True`` a :class:`repro.serve.RuleLifecycle` taps the
+    reported stream and retrains rules at every month boundary
+    (``matured=False`` switches its ground truth to rescan-refreshed
+    live labels).  The batch
     dataset is the oracle: ``digest_match`` and ``merged_stats`` let
     callers (the CLI, the serve bench, CI) assert equivalence without
     re-deriving anything.
     """
     from .serve import IngestService, LoadGenerator, RuleLifecycle
 
-    session = build_session(config, jobs=jobs)
+    session = build_session(config, jobs=jobs, cache=cache)
     corpus = session.world.corpus
     files = corpus.file_records()
     processes = corpus.process_records()

@@ -1,39 +1,24 @@
-"""Resource-governed scheduling: the run orchestrator and trial harness.
+"""Resource-governed scheduling: the run orchestrator.
 
-``orchestrator``
-    :class:`TaskSpec`/:class:`Orchestrator` -- the single owner of all
-    pool/job management: CPU and memory budgets read from ``/proc``,
-    bounded-queue backpressure, graceful degradation under memory
-    pressure, and cross-process telemetry via
-    :func:`repro.obs.worker.run_task`.
-``trials``
-    Structured repeated trials over run configurations recording
-    throughput-vs-memory-vs-fidelity trade-off curves (``repro trials``).
+:class:`TaskSpec`/:class:`Orchestrator` (``orchestrator``) is the single
+owner of all pool/job management: the ``jobs`` rule, the process-wide
+memory ceiling (:func:`set_memory_budget`) read against ``/proc``,
+bounded-queue backpressure, graceful degradation under memory pressure,
+and cross-process telemetry via :func:`repro.obs.worker.run_task`.
 
 See ``docs/orchestrator.md`` for the architecture discussion.
 """
 
 from .orchestrator import (
     Orchestrator,
-    StageBudget,
     StageOutcome,
     TaskSpec,
-    default_budget,
-    run_stage,
-    set_default_budget,
+    set_memory_budget,
 )
-from .trials import TrialConfig, TrialReport, TrialResult, run_trials
 
 __all__ = [
     "Orchestrator",
-    "StageBudget",
     "StageOutcome",
     "TaskSpec",
-    "TrialConfig",
-    "TrialReport",
-    "TrialResult",
-    "default_budget",
-    "run_stage",
-    "run_trials",
-    "set_default_budget",
+    "set_memory_budget",
 ]

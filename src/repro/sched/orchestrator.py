@@ -1,24 +1,21 @@
 """Resource-governed run orchestrator: one owner for every worker fan-out.
 
-Three places used to hand-roll the same fork-preferring
-:class:`~concurrent.futures.ProcessPoolExecutor` block -- world-shard
-generation (:mod:`repro.synth.engine`), month-pair evaluation
-(:mod:`repro.core.evaluation`) and (sequentially, until now) the
-validation seed sweep (:mod:`repro.validation.runner`).  Each copy had
-no memory or CPU budget, no backpressure, and silently degraded to
-sequential execution without leaving a trace.  This module centralises
-all of it behind a :class:`TaskSpec`/:class:`Orchestrator` API:
+World-shard generation (:mod:`repro.synth.engine`), month-pair
+evaluation (:mod:`repro.core.evaluation`) and the validation seed sweep
+(:mod:`repro.validation.runner`) each hand a task list to an
+:class:`Orchestrator`; none of them sizes a pool or keeps a sequential
+loop of its own:
 
-* **CPU budget** -- worker count is the minimum of the caller's
-  ``jobs``, the task count, and the stage budget's ``max_workers`` /
-  ``cpu_fraction`` allowance (``os.cpu_count``-based).
-* **Memory budget** -- before each submit the orchestrator reads the
+* **Workers** -- the minimum of the caller's ``jobs`` (default: one per
+  CPU core) and the task count.  One worker runs the tasks in-process.
+* **Memory ceiling** -- before each submit the orchestrator reads the
   process tree's RSS from ``/proc`` (:func:`repro.obs.resources.tree_rss_kb`)
-  and, when it exceeds ``memory_mb``, *halves the in-flight window*
-  instead of letting the pool OOM.  Degradation only ever changes how
-  many tasks run concurrently -- never the task list itself -- so the
-  output stays bit-identical to an unconstrained run (worlds are pure
-  functions of their configs; ``jobs`` and budgets are execution knobs).
+  and, when it exceeds the process-wide ceiling installed with
+  :func:`set_memory_budget`, *halves the in-flight window* instead of
+  letting the pool OOM.  Degradation only ever changes how many tasks
+  run concurrently -- never the task list itself -- so the output stays
+  bit-identical to an unconstrained run (worlds are pure functions of
+  their configs; ``jobs`` and the ceiling are execution knobs).
 * **Backpressure** -- the in-flight window is enforced with the same
   :class:`repro.serve.queues.BoundedQueue` the streaming collector uses:
   submission blocks while the queue is at capacity and a completion
@@ -30,7 +27,7 @@ all of it behind a :class:`TaskSpec`/:class:`Orchestrator` API:
   trees and summed counters keep matching a ``jobs=1`` run.  Platforms
   where process pools are unavailable (seccomp'd sandboxes, no
   ``/dev/shm``) fall back to in-process execution -- same results --
-  and now increment ``sched.fallback_sequential`` instead of hiding it.
+  and increment ``sched.fallback_sequential`` instead of hiding it.
 
 The stage verdict comes back as a :class:`StageOutcome` carrying the
 results (always in spec order) plus how the stage actually ran.
@@ -51,18 +48,14 @@ from ..obs import worker as obs_worker
 
 __all__ = [
     "Orchestrator",
-    "StageBudget",
     "StageOutcome",
     "TaskSpec",
-    "default_budget",
-    "run_stage",
-    "set_default_budget",
+    "set_memory_budget",
 ]
 
-#: Default in-flight tasks per worker when the budget does not pin a
-#: queue depth: one running plus one queued keeps workers busy without
-#: materialising every pending task's arguments at once.
-DEFAULT_DEPTH_PER_WORKER = 2
+#: In-flight tasks per worker: one running plus one queued keeps workers
+#: busy without materialising every pending task's arguments at once.
+DEPTH_PER_WORKER = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,28 +71,6 @@ class TaskSpec:
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     tag: Any = None
-
-
-@dataclasses.dataclass(frozen=True)
-class StageBudget:
-    """Per-stage resource budget; ``None`` fields are unconstrained.
-
-    ``memory_mb``
-        Process-tree RSS ceiling (parent + pool workers).  Crossing it
-        halves the in-flight window before the next submit.
-    ``cpu_fraction``
-        Fraction of ``os.cpu_count()`` the stage may occupy.
-    ``max_workers``
-        Hard cap on pool workers regardless of ``jobs``.
-    ``queue_depth``
-        Initial in-flight window (defaults to
-        ``DEFAULT_DEPTH_PER_WORKER * workers``).
-    """
-
-    memory_mb: Optional[float] = None
-    cpu_fraction: Optional[float] = None
-    max_workers: Optional[int] = None
-    queue_depth: Optional[int] = None
 
 
 @dataclasses.dataclass
@@ -118,65 +89,41 @@ class StageOutcome:
     wall_seconds: float
 
 
-_DEFAULT_BUDGET = StageBudget()
+#: Process-tree RSS ceiling in MB shared by every stage; ``None`` is
+#: unconstrained.
+_MEMORY_BUDGET_MB: Optional[float] = None
 
 
-def set_default_budget(budget: Optional[StageBudget]) -> StageBudget:
-    """Install the process-wide default budget; returns the previous one.
+def set_memory_budget(memory_mb: Optional[float]) -> Optional[float]:
+    """Install the process-wide memory ceiling; returns the previous one.
 
     The CLI points this at ``--memory-budget-mb`` so every fan-out in a
     run -- generation shards, month pairs, sweep seeds -- shares one
-    ceiling without threading a budget through every signature.
+    ceiling without threading it through every signature.
     """
-    global _DEFAULT_BUDGET
-    previous = _DEFAULT_BUDGET
-    _DEFAULT_BUDGET = budget if budget is not None else StageBudget()
+    global _MEMORY_BUDGET_MB
+    previous = _MEMORY_BUDGET_MB
+    _MEMORY_BUDGET_MB = memory_mb
     return previous
 
 
-def default_budget() -> StageBudget:
-    """The budget stages run under when none is passed explicitly."""
-    return _DEFAULT_BUDGET
-
-
 class Orchestrator:
-    """Runs one stage's tasks under a resource budget."""
+    """Runs one stage's tasks on ``jobs`` workers under the memory ceiling."""
 
-    def __init__(
-        self,
-        stage: str,
-        jobs: Optional[int] = None,
-        budget: Optional[StageBudget] = None,
-    ) -> None:
+    def __init__(self, stage: str, jobs: Optional[int] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.stage = stage
         self.jobs = jobs
-        self.budget = budget if budget is not None else default_budget()
-
-    # ------------------------------------------------------------------
-    # Budget resolution
-    # ------------------------------------------------------------------
 
     def resolve_workers(self, tasks: int) -> int:
-        """Worker count for ``tasks`` tasks under the CPU budget."""
+        """Worker count for ``tasks`` tasks: ``jobs`` clamped to the tasks."""
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        workers = min(jobs, max(1, tasks))
-        if self.budget.max_workers is not None:
-            workers = min(workers, self.budget.max_workers)
-        if self.budget.cpu_fraction is not None:
-            allowance = int((os.cpu_count() or 1) * self.budget.cpu_fraction)
-            workers = min(workers, allowance)
-        return max(1, workers)
+        return max(1, min(jobs, tasks))
 
-    def _initial_window(self, workers: int, tasks: int) -> int:
-        depth = self.budget.queue_depth
-        if depth is None:
-            depth = DEFAULT_DEPTH_PER_WORKER * workers
-        return max(1, min(depth, tasks))
-
-    def _memory_pressured(self) -> bool:
-        limit = self.budget.memory_mb
+    @staticmethod
+    def _memory_pressured() -> bool:
+        limit = _MEMORY_BUDGET_MB
         if limit is None:
             return False
         return resources.tree_rss_kb() / 1024.0 >= limit
@@ -199,7 +146,7 @@ class Orchestrator:
         specs = list(specs)
         start = time.perf_counter()
         workers = self.resolve_workers(len(specs))
-        if workers <= 1 or len(specs) <= 1:
+        if workers <= 1:
             outcome = self._run_sequential(specs, workers, fallback=False)
         else:
             try:
@@ -262,7 +209,7 @@ class Orchestrator:
         mp_context = None
         if "fork" in multiprocessing.get_all_start_methods():
             mp_context = multiprocessing.get_context("fork")
-        window = self._initial_window(workers, len(specs))
+        window = min(DEPTH_PER_WORKER * workers, len(specs))
         window_initial = window
         degradations = 0
         admission = BoundedQueue(capacity=window)
@@ -320,16 +267,3 @@ class Orchestrator:
             wall_seconds=0.0,
         )
 
-
-def run_stage(
-    stage: str,
-    specs: Sequence[TaskSpec],
-    *,
-    jobs: Optional[int] = None,
-    budget: Optional[StageBudget] = None,
-    parent_span: Optional[Any] = None,
-) -> StageOutcome:
-    """One-call convenience wrapper: build an orchestrator and run it."""
-    return Orchestrator(stage, jobs=jobs, budget=budget).run(
-        specs, parent_span=parent_span
-    )

@@ -15,22 +15,19 @@ spawned-process sets by disjoint union in shard order.  The resulting
 ``(seed, scale, shards)`` triple** regardless of how many worker
 processes executed the shards: ``jobs`` is purely an execution knob.
 
-Execution strategy:
-
-* ``jobs=1`` (or a single shard) runs shards sequentially in-process;
-* ``jobs>1`` hands the shards to the run orchestrator
-  (:mod:`repro.sched`), which owns the fork-preferring process pool,
-  the memory/CPU budgets and the in-flight backpressure.  On platforms
-  without ``fork`` the workers rebuild the (cheap) ecosystem context
-  once per process from the config; if process pools are unavailable
-  altogether (sandboxes), the orchestrator falls back to the sequential
-  path -- same output, counted in ``sched.fallback_sequential``.
+Execution: the shards go to the run orchestrator (:mod:`repro.sched`),
+which decides how many run at once -- in-process for ``jobs=1``,
+otherwise on its fork-preferring process pool under the memory ceiling
+and the in-flight backpressure.  On platforms without ``fork`` the
+workers rebuild the (cheap) ecosystem context once per process from the
+config; if process pools are unavailable altogether (sandboxes), the
+orchestrator runs the shards in-process -- same output, counted in
+``sched.fallback_sequential``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -259,21 +256,8 @@ def _worker_context(config: "WorldConfig") -> WorldContext:
 
 
 def _shard_worker(config: "WorldConfig", shard_index: int) -> ShardResult:
-    """Process-pool entry point: simulate one shard."""
+    """Orchestrator entry point: simulate one shard."""
     return simulate_shard(_worker_context(config), config, shard_index)
-
-
-def resolve_jobs(jobs: Optional[int], shards: int) -> int:
-    """Translate a user ``jobs`` request into a worker count.
-
-    ``None`` means "use the hardware": one worker per core, never more
-    than there are shards.  Explicit values are clamped to ``[1, shards]``.
-    """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, shards)
 
 
 def generate_world(
@@ -286,7 +270,8 @@ def generate_world(
     Instrumentation (spans, counters) reads clocks only -- it never
     touches RNG state, so tracing cannot perturb the corpus.
     """
-    workers = resolve_jobs(jobs, config.shards)
+    orchestrator = sched.Orchestrator("synth.shards", jobs=jobs)
+    workers = orchestrator.resolve_workers(config.shards)
     with trace.span(
         "synth.generate_world",
         seed=config.seed,
@@ -302,34 +287,20 @@ def generate_world(
                 ctx_span.set_attribute("machines", len(context.machines))
             _CONTEXT_CACHE[key] = context
         try:
-            if workers <= 1:
-                results = [
-                    simulate_shard(context, config, index)
-                    for index in range(config.shards)
-                ]
-            else:
-                # Workers record their own shard spans and counters;
-                # the orchestrator grafts the ObsPayloads they return
-                # under this fan-out span (roots tagged worker=N) so
-                # --trace shows one complete tree and summed counters
-                # match jobs=1.
-                with trace.span(
-                    "synth.simulate_shards", workers=workers
-                ) as fan:
-                    outcome = sched.run_stage(
-                        "synth.shards",
-                        [
-                            sched.TaskSpec(
-                                fn=_shard_worker,
-                                args=(config, index),
-                                tag=index,
-                            )
-                            for index in range(config.shards)
-                        ],
-                        jobs=workers,
-                        parent_span=fan,
-                    )
-                    results = outcome.results
+            # Workers record their own shard spans and counters; the
+            # orchestrator grafts the ObsPayloads they return under this
+            # fan-out span (roots tagged worker=N) so --trace shows one
+            # complete tree and summed counters match jobs=1.
+            with trace.span("synth.simulate_shards", workers=workers) as fan:
+                results = orchestrator.run(
+                    [
+                        sched.TaskSpec(
+                            fn=_shard_worker, args=(config, index), tag=index
+                        )
+                        for index in range(config.shards)
+                    ],
+                    parent_span=fan,
+                ).results
         finally:
             # The memo exists to hand workers a pre-built context (via fork)
             # and to dedupe rebuilds inside one worker process; the parent

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import WorldConfig, build_session
 from repro.core.dataset import CLASSES, Instance, TrainingSet
 from repro.core.part import PartLearner
 from repro.telemetry.events import NUM_MONTHS
@@ -110,6 +111,18 @@ def test_medium_session_months(medium_session, month):
         medium_session.labeled.month_slice(month), medium_session.alexa
     )
     assert len(training) > 100
+    _assert_same_rules(training.schema, training.instances)
+
+
+def test_month_sensitive_to_split_information_rounding():
+    """April of seed 1 at scale 0.012: a learner that computes gain
+    ratios and branch entropies with ``np.log2``/``np.sum`` learns
+    another rule list here, while it agrees on every month of
+    ``medium_session``."""
+    session = build_session(WorldConfig(seed=1, scale=0.012), cache=False)
+    training = TrainingSet.from_labeled(
+        session.labeled.month_slice(3), session.alexa
+    )
     _assert_same_rules(training.schema, training.instances)
 
 

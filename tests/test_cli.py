@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro import sched
 from repro.cli import build_parser, main
 from repro.telemetry.store import load_dataset
 
@@ -16,9 +17,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_generate_requires_out(self):
+    def test_export_requires_out(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["generate"])
+            build_parser().parse_args(["export"])
 
     def test_defaults(self):
         args = build_parser().parse_args(["rules"])
@@ -27,10 +28,10 @@ class TestParser:
         assert args.tau == 0.001
 
 
-class TestGenerate:
+class TestExportImport:
     def test_exports_corpus_and_labels(self, tmp_path, capsys):
         out = tmp_path / "corpus"
-        assert main(["generate", *SCALE, "--out", str(out)]) == 0
+        assert main(["export", *SCALE, "--out", str(out)]) == 0
         dataset = load_dataset(out)
         assert len(dataset) > 500
         labels = [
@@ -40,8 +41,6 @@ class TestGenerate:
         assert len(labels) == len(dataset.files)
         assert {entry["label"] for entry in labels} >= {"unknown", "malicious"}
 
-
-class TestExportImport:
     def test_round_trip_verified(self, tmp_path, capsys):
         out = tmp_path / "store"
         assert main(["export", *SCALE, "--out", str(out), "--compress",
@@ -265,6 +264,8 @@ class TestRun:
         assert "rss_peak_kb=" in tree
         assert collapsed.read_text().strip()
         assert "# profile (top self-time)" in captured.err
+        # The ceiling --memory-budget-mb installed is gone after the run.
+        assert sched.set_memory_budget(None) is None
 
 
 class TestStats:
@@ -277,12 +278,11 @@ class TestStats:
         assert "collector.events_reported" in output
 
 
-class TestLoadgen:
+class TestServe:
     def test_fault_injected_stream_matches_batch(self, tmp_path, capsys):
         assert main(
-            ["loadgen", *SCALE, "--out", str(tmp_path / "store"),
-             "--agents", "3", "--batch-max", "256", "--poison-every", "500",
-             "--check"]
+            ["serve", *SCALE, "--out", str(tmp_path / "store"),
+             "--agents", "3", "--batch-max", "256", "--poison-every", "500"]
         ) == 0
         output = capsys.readouterr().out
         assert "equivalence: OK" in output
@@ -290,21 +290,24 @@ class TestLoadgen:
         assert int(re.search(r"poisoned=(\d+)", output).group(1)) > 0
 
     def test_resume_after_crash_matches_batch(self, tmp_path, capsys):
-        command = ["loadgen", *SCALE, "--out", str(tmp_path / "store"),
+        command = ["serve", *SCALE, "--out", str(tmp_path / "store"),
                    "--inline", "--batch-max", "200"]
         assert main([*command, "--crash-after-parts", "2"]) == 1
         capsys.readouterr()
-        assert main([*command, "--resume", "--check"]) == 0
+        assert main([*command, "--resume"]) == 0
         output = capsys.readouterr().out
         assert "equivalence: OK" in output
         assert int(re.search(r"resumed_from=(\d+)", output).group(1)) >= 1
 
+    def test_no_cache_rebuilds_the_session(self, tmp_path, capsys):
+        from repro.obs import metrics as obs_metrics
 
-class TestTrials:
-    def test_jobs_and_budgets_keep_the_digest(self, capsys):
-        assert main(
-            ["trials", "--scale", "0.003", "--seed", "3", "--shards", "4",
-             "--jobs-list", "1,2", "--memory-budgets-mb", "none,64",
-             "--no-append"]
-        ) == 0
-        assert "digests_consistent=True" in capsys.readouterr().out
+        hits = obs_metrics.counter("pipeline.session_cache_hits")
+        before = hits.value
+        for store in ("first", "second"):
+            assert main(
+                ["serve", *SCALE, "--no-cache", "--inline",
+                 "--out", str(tmp_path / store)]
+            ) == 0
+        assert "equivalence: OK" in capsys.readouterr().out
+        assert hits.value == before

@@ -3,11 +3,13 @@
 ``PYTHONHASHSEED`` changes the iteration order of every set and
 frozenset of strings, and of the hashes of rules and conditions.  Each
 check runs in two fresh interpreters, under hash seeds 0 and 1, and
-requires byte-identical stdout and the same exit status.
+requires byte-identical stdout, the same exit status and byte-identical
+files in the directory the command writes, if any.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,30 +56,48 @@ def _run(args, hash_seed: int, cwd: Path):
     return done.returncode, done.stdout
 
 
+def _file_digests(directory: Path):
+    return {
+        path.relative_to(directory).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize(
-    "args, marker, statuses",
+    "args, marker, statuses, written",
     [
-        (["-c", PERSISTENT_RULES], b"signer 23", {0}),
-        (["-m", "repro.cli", "report", "--all", *CORPUS], b"Table XIV:", {0}),
-        (["-m", "repro.cli", "evaluate", *CORPUS], b"Table XVII", {0}),
+        (["-c", PERSISTENT_RULES], b"signer 23", {0}, {}),
+        (["-m", "repro.cli", "report", "--all", *CORPUS], b"Table XIV:",
+         {0}, {}),
+        (["-m", "repro.cli", "evaluate", *CORPUS], b"Table XVII", {0}, {}),
         # Prints the store's content digest; each run writes its own
         # ``store/`` under its working directory.
         (["-m", "repro.cli", "export", "--out", "store", *CORPUS],
-         b"content digest:", {0}),
+         b"content digest:", {0},
+         {"store": {"events.jsonl", "files.jsonl", "processes.jsonl",
+                    "manifest.json", "labels.jsonl"}}),
         # Exit status 1 is the fidelity verdict, not an error: at this
         # scale some targets fail.
         (["-m", "repro.cli", "validate", "--seeds", "1", *CORPUS],
-         b"overall:", {0, 1}),
+         b"overall:", {0, 1}, {}),
     ],
     ids=["persistent_rules", "report_all", "evaluate", "export", "validate"],
 )
-def test_stdout_identical_across_hash_seeds(args, marker, statuses, tmp_path):
+def test_stdout_identical_across_hash_seeds(
+    args, marker, statuses, written, tmp_path
+):
     runs = []
     for hash_seed in (0, 1):
         cwd = tmp_path / f"hash_seed_{hash_seed}"
         cwd.mkdir()
-        runs.append(_run(args, hash_seed, cwd))
-    status, stdout = runs[0]
+        status, stdout = _run(args, hash_seed, cwd)
+        files = {name: _file_digests(cwd / name) for name in written}
+        runs.append((status, stdout, files))
+    status, stdout, files = runs[0]
     assert status in statuses, stdout
     assert marker in stdout
+    for name, expected in written.items():
+        assert set(files[name]) == expected
     assert runs[1] == runs[0]
