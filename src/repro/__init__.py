@@ -43,8 +43,6 @@ from .pipeline import (
     Session,
     build_session,
     clear_all_caches,
-    export_session,
-    import_dataset,
     validate_session,
 )
 from .synth.world import World, WorldConfig, generate_dataset
@@ -68,10 +66,8 @@ __all__ = [
     "build_session",
     "clear_all_caches",
     "core",
-    "export_session",
     "full_evaluation",
     "generate_dataset",
-    "import_dataset",
     "label_world",
     "labeling",
     "obs",

@@ -2,8 +2,7 @@
 
 Twelve subcommands cover the common workflows::
 
-    python -m repro.cli export   --scale 0.01 --out store/ --compress \
-        --chunk-rows 100000
+    python -m repro.cli export   --scale 0.01 --out store/ --compress
     python -m repro.cli import   store/
     python -m repro.cli report   --scale 0.01 --experiment table1 fig5
     python -m repro.cli report   --all --scale 1.0 --resources
@@ -19,10 +18,10 @@ Twelve subcommands cover the common workflows::
         --agents 4 --lifecycle --poison-every 1000
 
 ``export`` writes the telemetry corpus as a versioned, checksummed
-dataset store (:mod:`repro.telemetry.store` -- optionally gzip-compressed
-and chunked) plus its ground truth (``labels.jsonl``), and ``import``
-reads a store back with full verification (or ``--lenient``
-quarantining), exiting non-zero on any integrity fault; ``report``
+dataset store (:mod:`repro.telemetry.store` -- optionally gzip-compressed)
+plus its ground truth (``labels.jsonl``), and ``import`` reads a store
+back with full verification (or ``--lenient`` quarantining), exiting
+non-zero on any integrity fault or a missing manifest; ``report``
 renders any subset of the paper's tables/figures; ``rules`` prints the
 learned human-readable rules for one training month; ``evaluate`` runs
 the full Tables XVI/XVII experiment; ``run`` executes the whole pipeline
@@ -66,7 +65,7 @@ from .obs import metrics as obs_metrics
 from .obs import profile as obs_profile
 from .obs import resources as obs_resources
 from .obs import trace as obs_trace
-from .pipeline import Session, build_session, export_session
+from .pipeline import Session, build_session
 from .synth.world import WorldConfig
 from .telemetry import store as telemetry_store
 
@@ -191,11 +190,8 @@ def _session(args: argparse.Namespace) -> Session:
 def _cmd_export(args: argparse.Namespace) -> int:
     """Export the corpus as a verified dataset store plus its labels."""
     session = _session(args)
-    path = export_session(
-        session,
-        args.out,
-        compress=args.compress,
-        chunk_rows=args.chunk_rows,
+    path = telemetry_store.save_dataset(
+        session.dataset, args.out, compress=args.compress
     )
     labeled = session.labeled
     with open(path / "labels.jsonl", "w", encoding="utf-8") as handle:
@@ -209,7 +205,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
             }
             handle.write(json.dumps(record) + "\n")
     manifest = telemetry_store.read_manifest(path)
-    assert manifest is not None  # save_dataset always writes one
     print(
         f"wrote {manifest.counts['events']} events, "
         f"{manifest.counts['files']} files, "
@@ -222,12 +217,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_import(args: argparse.Namespace) -> int:
     """Re-import a dataset store, verifying (or quarantining) faults."""
-    from .pipeline import import_dataset
-
     stats = telemetry_store.ReadStats()
     strict = not args.lenient
     try:
-        dataset = import_dataset(args.directory, strict=strict, stats=stats)
+        dataset = telemetry_store.load_dataset(
+            args.directory, strict=strict, stats=stats
+        )
     except (FileNotFoundError, ValueError) as exc:
         print(f"import failed: {exc}", file=sys.stderr)
         return 1
@@ -238,12 +233,8 @@ def _cmd_import(args: argparse.Namespace) -> int:
         f"({stats.bytes_read} bytes read)"
     )
     digest = dataset.content_digest()
-    if manifest is not None:
-        verdict = "OK" if digest == manifest.content_digest else "MISMATCH"
-        print(f"content digest: {digest} [{verdict} vs manifest]")
-    else:
-        print(f"content digest: {digest} [no manifest: legacy layout, "
-              f"unverified]")
+    verdict = "OK" if digest == manifest.content_digest else "MISMATCH"
+    print(f"content digest: {digest} [{verdict} vs manifest]")
     if not strict:
         print(
             f"quarantined rows: {stats.rows_quarantined}, duplicates: "
@@ -251,6 +242,14 @@ def _cmd_import(args: argparse.Namespace) -> int:
             f"{stats.checksum_failures}"
         )
     return 0
+
+
+def _render(session: Session, name: str) -> str:
+    """The text of one ``report`` experiment for ``session``."""
+    renderer: Callable = getattr(reporting, _EXPERIMENTS[name])
+    if name in _NEEDS_ALEXA:
+        return renderer(session.labeled, session.alexa)
+    return renderer(session.labeled)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -269,12 +268,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     session = _session(args)
     for name in wanted:
-        renderer: Callable = getattr(reporting, _EXPERIMENTS[name])
-        if name in _NEEDS_ALEXA:
-            text = renderer(session.labeled, session.alexa)
-        else:
-            text = renderer(session.labeled)
-        print(text)
+        print(_render(session, name))
         print()
     if args.csv_dir:
         paths = reporting.export_figure_csvs(
@@ -630,17 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     export = commands.add_parser(
         "export",
         help="export the corpus as a checksummed dataset store "
-             "(optionally compressed/chunked) plus its ground-truth "
-             "labels.jsonl",
+             "(optionally compressed) plus its ground-truth labels.jsonl",
     )
     _add_world_arguments(export)
     export.add_argument("--out", required=True, help="store directory")
     export.add_argument("--compress", action="store_true",
                         help="gzip-compress every JSONL part")
-    export.add_argument("--chunk-rows", type=int, default=None,
-                        metavar="N",
-                        help="split each table into parts of N rows "
-                             "(default: one part per table)")
     export.set_defaults(func=_cmd_export)
 
     import_ = commands.add_parser(

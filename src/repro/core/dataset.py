@@ -63,16 +63,6 @@ class TrainingSet:
         """Counter of class labels."""
         return Counter(instance.label for instance in self.instances)
 
-    def value_rows(self) -> List[Tuple]:
-        """Instance value tuples in order (columnar-encoding input)."""
-        return [instance.values for instance in self.instances]
-
-    def malicious_flags(self) -> List[bool]:
-        """Per-instance ``label == malicious`` flags, in order."""
-        return [
-            instance.label == MALICIOUS_CLASS for instance in self.instances
-        ]
-
     @classmethod
     def from_labeled(
         cls,

@@ -148,7 +148,3 @@ class RescanScheduler:
     def label_of(self, sha1: str) -> Optional[FileLabel]:
         """The current (latest-rescan) label of a tracked hash."""
         return self._labels.get(sha1)
-
-    def current_labels(self) -> Dict[str, FileLabel]:
-        """Snapshot of every tracked hash's current label."""
-        return dict(self._labels)

@@ -187,7 +187,7 @@ def _bench_rule_matching(scale: float) -> BenchResult:
 
 
 def _bench_dataset_io(scale: float) -> BenchResult:
-    """Dataset-store save + load round trip (plain layout)."""
+    """Dataset-store save + strict load round trip (uncompressed parts)."""
     from ..pipeline import build_session
     from ..synth.world import WorldConfig
     from ..telemetry import store

@@ -65,7 +65,6 @@ def build_session(
     jobs: Optional[int] = None,
     cache: bool = True,
     dataset_dir: Optional[Union[str, Path]] = None,
-    strict: bool = True,
 ) -> Session:
     """Generate, collect and label one synthetic corpus.
 
@@ -74,10 +73,10 @@ def build_session(
     with the same config -- from tests, benchmarks or examples -- reuses
     the generated world instead of rebuilding it.
 
-    ``dataset_dir`` points the session at a previously exported dataset
-    store (see :mod:`repro.telemetry.store` and :func:`export_session`):
-    the telemetry dataset is loaded -- and, in strict mode, checksum-
-    and digest-verified -- from disk instead of re-collected from the
+    ``dataset_dir`` points the session at a dataset store (see
+    :mod:`repro.telemetry.store`; ``repro export`` and ``repro serve``
+    write one): the telemetry dataset is loaded -- checksum- and
+    digest-verified -- from disk instead of re-collected from the
     world's raw corpus.  Imported sessions bypass the session memo,
     since the store's content is not part of the config digest.
     """
@@ -102,7 +101,7 @@ def build_session(
         with trace.span("pipeline.generate"):
             world = get_world(config, jobs=jobs, cache=cache)
         if dataset_dir is not None:
-            dataset = import_dataset(dataset_dir, strict=strict)
+            dataset = telemetry_store.load_dataset(dataset_dir)
         else:
             with trace.span("pipeline.collect"):
                 dataset = world.collect()
@@ -228,44 +227,6 @@ def stream_session(
         digest_match=digest_match,
         merged_stats=merged,
     )
-
-
-def export_session(
-    session: Session,
-    directory: Union[str, Path],
-    *,
-    compress: bool = False,
-    chunk_rows: Optional[int] = None,
-) -> Path:
-    """Persist a session's telemetry dataset as an on-disk store.
-
-    Thin tracing wrapper over
-    :func:`repro.telemetry.store.save_dataset`; the export is atomic
-    (write-temp-then-rename, manifest last) and checksummed, so it can
-    be re-imported later with full verification via
-    :func:`import_dataset` or ``build_session(dataset_dir=...)``.
-    """
-    with trace.span("pipeline.export", directory=str(directory)):
-        return telemetry_store.save_dataset(
-            session.dataset, directory, compress=compress, chunk_rows=chunk_rows
-        )
-
-
-def import_dataset(
-    directory: Union[str, Path],
-    *,
-    strict: bool = True,
-    stats: Optional[telemetry_store.ReadStats] = None,
-) -> TelemetryDataset:
-    """Load a telemetry dataset from an on-disk store.
-
-    Strict mode verifies part checksums, row counts and the dataset
-    content digest and raises :class:`repro.telemetry.store.StoreError`
-    (a ``ValueError``) with file/line context on any fault; lenient mode
-    quarantines bad rows instead (pass ``stats`` to see what was lost).
-    """
-    with trace.span("pipeline.import", directory=str(directory), strict=strict):
-        return telemetry_store.load_dataset(directory, strict=strict, stats=stats)
 
 
 def validate_session(session: Session, p_floor: Optional[float] = None):

@@ -4,10 +4,10 @@ The batch pipeline learns rules once per month pair
 (:func:`repro.core.evaluation.learn_rules` over ``T_tr``); a streaming
 deployment instead feeds each newly seen file to an
 :class:`~repro.core.online.OnlineRuleClassifier` as its ground truth
-becomes available, retrains at every month boundary on exactly that
-month's window, and additionally retrains *out of cadence* when a
-:class:`~repro.core.drift.DistributionDriftDetector` sees the label mix
-shift abruptly.
+becomes available and retrains at every month boundary on exactly that
+month's window, while a
+:class:`~repro.core.drift.DistributionDriftDetector` records every
+abrupt shift of the label mix.
 
 Two labeling modes:
 
@@ -16,7 +16,8 @@ Two labeling modes:
     "almost two years later" ground truth.  In this mode a full replay
     is *provably equivalent* to batch learning: the rules selected at
     each month boundary equal
-    ``learn_rules(labeled, alexa, month).select(tau, min_coverage)``,
+    ``learn_rules(labeled, alexa, month).select(0.001, 1)`` (the
+    online classifier's default ``tau`` and ``min_coverage``),
     because the training instances, their sha1 ordering, and PART's
     fit are all reproduced exactly.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.classifier import ConflictPolicy
 from ..core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
 from ..core.drift import (
     DistributionDriftDetector,
@@ -81,36 +81,21 @@ class RuleLifecycle:
         alexa: AlexaService,
         files,
         processes,
-        tau: float = 0.001,
-        min_coverage: int = 1,
-        policy: ConflictPolicy = ConflictPolicy.REJECT,
         matured: bool = True,
-        rescan: Optional[RescanScheduler] = None,
-        drift_window: int = 200,
-        drift_threshold: float = 0.25,
-        drift_retrains: bool = False,
     ) -> None:
         self._labeler = labeler
         self._alexa = alexa
         self._files = files
         self._processes = processes
         self.matured = matured
-        self.rescan = rescan if not matured else None
-        if not matured and self.rescan is None:
-            self.rescan = RescanScheduler(labeler)
-        self.drift_retrains = drift_retrains
+        self.rescan = None if matured else RescanScheduler(labeler)
         self.online = OnlineRuleClassifier(
-            tau=tau,
-            min_coverage=min_coverage,
-            policy=policy,
             # Month boundaries pass explicit windows; make the implicit
             # cadence irrelevant rather than a second retrain source.
             window_days=float(MONTH_STARTS[-1]),
             retrain_interval_days=float(MONTH_STARTS[-1]),
         )
-        self.drift_detector = DistributionDriftDetector(
-            window=drift_window, threshold=drift_threshold
-        )
+        self.drift_detector = DistributionDriftDetector()
         self._seen: Set[Tuple[str, int]] = set()
         self._file_labels: Dict[str, FileLabel] = {}
         self._process_labels: Dict[str, FileLabel] = {}
@@ -177,8 +162,6 @@ class RuleLifecycle:
             obs_metrics.counter(
                 "serve.drift_shifts", "Label-distribution shifts detected"
             ).inc()
-            if self.drift_retrains:
-                self._drift_retrain(event.timestamp)
         if label not in _CONFIDENT:
             return
         values = feature_values(
@@ -198,18 +181,6 @@ class RuleLifecycle:
     # ------------------------------------------------------------------
     # Retraining
     # ------------------------------------------------------------------
-
-    def _drift_retrain(self, now: float) -> None:
-        """Out-of-cadence retrain on the current month-so-far window."""
-        assert self._current_month is not None
-        window = now - MONTH_STARTS[self._current_month]
-        if window <= 0:
-            return
-        with trace.span("serve.drift_retrain", at_day=now):
-            self.online.retrain(now, window_days=window)
-        obs_metrics.counter(
-            "serve.drift_retrains", "Retrains triggered by drift, not cadence"
-        ).inc()
 
     def _close_month(self, month: int) -> RuleSet:
         """Month-boundary retrain on exactly that month's window."""
@@ -249,10 +220,3 @@ class RuleLifecycle:
             shifts=list(self.drift_detector.shifts),
             label_flips=self.label_flips,
         )
-
-    def rules_for_month(self, month: int) -> Optional[RuleSet]:
-        """The rules selected at ``month``'s boundary, if closed."""
-        for closed_month, rules in self.monthly_rules:
-            if closed_month == month:
-                return rules
-        return None

@@ -131,7 +131,6 @@ class Simulator:
         self._events: List[DownloadEvent] = []
         self._spawned: Set[str] = set()
         self._type_samplers: Dict[str, CategoricalSampler] = {}
-        self._mix_cache: Dict[tuple, CategoricalSampler] = {}
         self._label_samplers: Dict[
             Tuple[str, float, float], CategoricalSampler
         ] = {}
@@ -455,15 +454,6 @@ class Simulator:
                 labels, [mix[label] for label in labels]
             )
             self._label_samplers[key] = sampler
-        return sampler.sample(self._rng)
-
-    def _sample_mix(self, mix: Dict[FileLabel, float]) -> FileLabel:
-        key = tuple(sorted((label.value, weight) for label, weight in mix.items()))
-        sampler = self._mix_cache.get(key)
-        if sampler is None:
-            labels = list(mix.keys())
-            sampler = CategoricalSampler(labels, [mix[label] for label in labels])
-            self._mix_cache[key] = sampler
         return sampler.sample(self._rng)
 
     def _context_type_sampler(self, context: str) -> CategoricalSampler:

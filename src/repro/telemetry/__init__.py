@@ -13,8 +13,6 @@ from .collector import (
     CollectionServer,
     FilterStats,
     collect,
-    collect_from_store,
-    collect_shards,
     merge_sorted_streams,
 )
 from .dataset import TelemetryDataset
@@ -22,7 +20,6 @@ from .store import (
     ReadStats,
     StoreError,
     StoreManifest,
-    iter_events,
     load_dataset,
     read_manifest,
     save_dataset,
@@ -59,9 +56,6 @@ __all__ = [
     "StoreManifest",
     "TelemetryDataset",
     "collect",
-    "collect_from_store",
-    "collect_shards",
-    "iter_events",
     "merge_sorted_streams",
     "domain_of_url",
     "effective_2ld",

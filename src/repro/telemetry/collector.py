@@ -198,46 +198,3 @@ def collect(
         "collector.events_dropped", "Events dropped by the reporting filters"
     ).inc(stats.dropped)
     return dataset, stats
-
-
-def collect_from_store(
-    directory,
-    policy: Optional[ReportingPolicy] = None,
-    *,
-    strict: bool = True,
-    stats=None,
-):
-    """Collect straight from an on-disk dataset store, streaming.
-
-    The store's event log is fed to the server through
-    :func:`repro.telemetry.store.iter_events` -- one event in memory at
-    a time -- so corpora larger than RAM can be re-filtered.  Stored
-    events are timestamp-sorted, satisfying :meth:`CollectionServer.submit`'s
-    ordering contract; the (small) metadata tables are materialized.
-    ``strict``/``stats`` follow the store's read semantics.
-    """
-    from .store import iter_events, read_files, read_processes
-
-    files = read_files(directory, strict=strict, stats=stats)
-    processes = read_processes(directory, strict=strict, stats=stats)
-    return collect(
-        iter_events(directory, strict=strict, stats=stats),
-        files,
-        processes,
-        policy,
-    )
-
-
-def collect_shards(
-    shard_streams: Sequence[Iterable[DownloadEvent]],
-    files: Mapping[str, FileRecord],
-    processes: Mapping[str, ProcessRecord],
-    policy: Optional[ReportingPolicy] = None,
-):
-    """Collect directly from pre-sorted shard streams.
-
-    Convenience for pipelines that keep per-shard event lists around:
-    merges lazily (no intermediate combined list) and applies the same
-    reporting policy as :func:`collect`.
-    """
-    return collect(merge_sorted_streams(shard_streams), files, processes, policy)

@@ -183,14 +183,6 @@ class TelemetryDataset:
         return dict(timelines)
 
     @cached_property
-    def events_by_process(self) -> Dict[str, List[DownloadEvent]]:
-        """``process sha1 -> events it initiated`` (time-sorted)."""
-        index: Dict[str, List[DownloadEvent]] = defaultdict(list)
-        for event in self._events:
-            index[event.process_sha1].append(event)
-        return dict(index)
-
-    @cached_property
     def events_by_file(self) -> Dict[str, List[DownloadEvent]]:
         """``file sha1 -> events that downloaded it`` (time-sorted)."""
         index: Dict[str, List[DownloadEvent]] = defaultdict(list)

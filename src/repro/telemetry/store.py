@@ -1,33 +1,31 @@
 """Versioned, checksummed, streaming on-disk dataset store.
 
-The naive JSONL exporter this module replaced (the former
-``repro.telemetry.io``, whose ``save_dataset``/``load_dataset`` names
-and default layout this module keeps) had three production bugs:
-non-atomic writes (a crash mid-save left a truncated ``events.jsonl``
-that later loaded *silently smaller*), a broken error contract
-(malformed rows escaped as bare ``TypeError`` with no file/line
-context) and silent last-wins deduplication of repeated ``sha1`` rows.
-The store fixes all three and adds the ingestion discipline a
-3M-event corpus needs: chunking, compression, checksums and a
-streaming reader.
+The store has one writer and one reader.  Every store directory -- a
+``repro export``, a :func:`save_dataset` call or a streamed ``repro
+serve`` run -- is written by an :class:`AppendSession`: event parts are
+appended one at a time, then :meth:`AppendSession.commit` writes the
+metadata tables and, last, the manifest.  Every read resolves its parts
+from the manifest alone and streams them through one part reader that
+verifies checksums and row counts as the bytes go by.
 
 Layout of a store directory::
 
-    manifest.json            -- schema version, table row counts, per-part
-                                SHA-256 + byte/row counts, dataset digest
-    events.jsonl[.gz]        -- single-part layout (chunk_rows=None), or
-    events-00000.jsonl[.gz]  -- fixed-size row chunks (chunk_rows=N)
-    files.jsonl[.gz]         -- file metadata table (same part naming)
-    processes.jsonl[.gz]     -- process metadata table
-    quarantine.jsonl         -- sidecar of rows rejected by lenient reads
+    manifest.json               -- schema version, table row counts, per-part
+                                   SHA-256 + byte/row counts, dataset digest
+    events-00000.jsonl[.gz]     -- event parts, in report (timestamp) order
+    files-00000.jsonl[.gz]      -- file metadata table
+    processes-00000.jsonl[.gz]  -- process metadata table
+    ingest.json                 -- checkpoint of an uncommitted append session
+    quarantine.jsonl            -- sidecar of rows rejected by lenient reads
 
 Guarantees:
 
 * **Atomic commits.**  Every part (and the manifest) is written to a
   temp file and ``os.replace``-renamed into place -- the fd+rename idiom
   of :func:`repro.synth.cache._disk_store` -- and the manifest is
-  written *last*, so a crash mid-save never yields a directory that
-  loads as a valid smaller dataset.
+  written *last*.  Reads refuse a directory without a manifest, so a
+  crash mid-save or mid-overwrite never yields a directory that loads
+  as a valid smaller dataset.
 * **Deterministic bytes.**  Rows are serialized in stable field order,
   in dataset order, and gzip members are written with ``mtime=0``:
   identical datasets export byte-identical stores.
@@ -36,7 +34,8 @@ Guarantees:
   truncated or checksum-mismatched part, and cross-checks the reloaded
   dataset's :meth:`~repro.telemetry.dataset.TelemetryDataset.content_digest`
   against the manifest.  All strict failures are :class:`StoreError`, a
-  :class:`ValueError` subclass, honoring the documented load contract.
+  :class:`ValueError` subclass, honoring the documented load contract;
+  a missing manifest or part raises :class:`FileNotFoundError`.
 * **Graceful degradation.**  ``strict=False`` quarantines malformed or
   orphaned rows to ``quarantine.jsonl``, keeps the first of duplicate
   sha1 rows (counting and warning), and skips the unreadable remainder
@@ -45,12 +44,8 @@ Guarantees:
 
 Reads and writes report ``store.*`` metrics through
 :mod:`repro.obs.metrics` and run under ``store.save`` / ``store.load``
-/ ``store.iter_events`` trace spans.  Directories without a
-``manifest.json`` (pre-store legacy exports) are still readable: parts
-are discovered by name and every per-row check applies, but there are
-no checksums or row counts to verify against.  A corrupt
-``manifest.json`` raises in both modes; delete it to force the legacy
-path.
+trace spans.  A missing or corrupt ``manifest.json`` raises in both
+modes.
 """
 
 from __future__ import annotations
@@ -89,6 +84,7 @@ from .events import DownloadEvent, FileRecord, ProcessRecord
 
 __all__ = [
     "CHECKPOINT_FILE",
+    "EXPORT_PART_ROWS",
     "MANIFEST_FILE",
     "QUARANTINE_FILE",
     "SCHEMA",
@@ -97,13 +93,10 @@ __all__ = [
     "ReadStats",
     "StoreError",
     "StoreManifest",
-    "iter_events",
     "load_dataset",
     "open_append_session",
     "quarantine_record",
-    "read_files",
     "read_manifest",
-    "read_processes",
     "save_dataset",
 ]
 
@@ -119,6 +112,10 @@ CHECKPOINT_FILE = "ingest.json"
 _TABLES = ("events", "files", "processes")
 _READ_CHUNK = 1 << 20
 _QUARANTINE_RAW_LIMIT = 500
+
+#: Events per part of a :func:`save_dataset` export -- the analysis frame
+#: builder's chunk size -- so an export encodes one part's rows at a time.
+EXPORT_PART_ROWS = 65_536
 
 
 class StoreError(ValueError):
@@ -144,6 +141,21 @@ class PartInfo:
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
+    @classmethod
+    def from_dict(cls, entry: Dict[str, Any]) -> "PartInfo":
+        """Parse one part entry of a manifest or a checkpoint.
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed
+        entry; callers wrap them with their file's context.
+        """
+        return cls(
+            name=str(entry["name"]),
+            table=str(entry["table"]),
+            rows=int(entry["rows"]),
+            bytes=int(entry["bytes"]),
+            sha256=str(entry["sha256"]),
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class StoreManifest:
@@ -151,7 +163,6 @@ class StoreManifest:
 
     schema: str
     compress: bool
-    chunk_rows: Optional[int]
     counts: Dict[str, int]
     content_digest: str
     parts: Tuple[PartInfo, ...]
@@ -170,8 +181,9 @@ class StoreManifest:
 class ReadStats:
     """What one store read actually consumed, kept and rejected.
 
-    Pass an instance to any reader to collect per-call telemetry (the
-    process-wide ``store.*`` metrics are updated regardless).
+    Pass an instance to :func:`load_dataset` to collect per-call
+    telemetry (the process-wide ``store.*`` metrics are updated
+    regardless).
     """
 
     bytes_read: int = 0
@@ -242,32 +254,15 @@ def _encode_row(record: Any) -> bytes:
 def _write_table(
     directory: Path,
     table: str,
+    index: int,
     records: Iterable[Any],
     compress: bool,
-    chunk_rows: Optional[int],
-) -> List[PartInfo]:
-    suffix = ".jsonl.gz" if compress else ".jsonl"
-    parts: List[PartInfo] = []
-    chunk: List[bytes] = []
-
-    def flush() -> None:
-        if chunk_rows is None:
-            name = f"{table}{suffix}"
-        else:
-            name = f"{table}-{len(parts):05d}{suffix}"
-        nbytes, digest = _write_part(directory / name, chunk, compress)
-        parts.append(PartInfo(name, table, len(chunk), nbytes, digest))
-        chunk.clear()
-
-    for record in records:
-        chunk.append(_encode_row(record))
-        if chunk_rows is not None and len(chunk) >= chunk_rows:
-            flush()
-    # Always emit at least one part, so readers can tell an empty table
-    # from a missing file.
-    if chunk or not parts:
-        flush()
-    return parts
+) -> PartInfo:
+    """Atomically write ``records`` as part ``index`` of ``table``."""
+    name = f"{table}-{index:05d}{'.jsonl.gz' if compress else '.jsonl'}"
+    lines = [_encode_row(record) for record in records]
+    nbytes, digest = _write_part(directory / name, lines, compress)
+    return PartInfo(name, table, len(lines), nbytes, digest)
 
 
 def quarantine_record(directory: Union[str, Path], record: Dict[str, Any]) -> None:
@@ -287,11 +282,10 @@ def quarantine_record(directory: Union[str, Path], record: Dict[str, Any]) -> No
 
 
 def _remove_existing(directory: Path) -> None:
-    """Drop a previous export so stale parts can never be re-discovered.
+    """Drop a previous store so its parts can never be read again.
 
-    The manifest goes first: should cleanup be interrupted, the
-    directory degrades to a legacy (unverified) layout instead of a
-    manifest pointing at missing parts.
+    The manifest goes first: should cleanup be interrupted, every read
+    refuses the directory instead of loading the parts that are left.
     """
     stale = [
         directory / MANIFEST_FILE,
@@ -299,8 +293,7 @@ def _remove_existing(directory: Path) -> None:
         directory / CHECKPOINT_FILE,
     ]
     for table in _TABLES:
-        for pattern in (f"{table}.jsonl*", f"{table}-[0-9]*.jsonl*"):
-            stale.extend(directory.glob(pattern))
+        stale.extend(directory.glob(f"{table}-[0-9]*.jsonl*"))
     for path in stale:
         try:
             path.unlink()
@@ -313,49 +306,24 @@ def save_dataset(
     directory: Union[str, Path],
     *,
     compress: bool = False,
-    chunk_rows: Optional[int] = None,
 ) -> Path:
     """Write ``dataset`` to ``directory`` (created if missing) atomically.
 
-    ``chunk_rows=None`` writes one part per table (``events.jsonl``,
-    ... -- the legacy-compatible layout); ``chunk_rows=N`` splits each
-    table into fixed-size parts (``events-00000.jsonl``, ...).
-    ``compress=True`` gzips every part (deterministically).  Returns the
-    directory path.  Any previous export in the directory is replaced.
+    One :class:`AppendSession`: the events go in parts of
+    :data:`EXPORT_PART_ROWS`, then the commit writes the metadata tables
+    and the manifest.  ``compress=True`` gzips every part
+    (deterministically).  Any previous store in the directory is
+    replaced.  Returns the directory path.
     """
-    if chunk_rows is not None and chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    with trace.span(
-        "store.save", compress=compress, chunk_rows=chunk_rows
-    ) as span:
-        _remove_existing(path)
-        parts = _write_table(path, "events", dataset.events, compress, chunk_rows)
-        parts += _write_table(
-            path, "files", dataset.files.values(), compress, chunk_rows
-        )
-        parts += _write_table(
-            path, "processes", dataset.processes.values(), compress, chunk_rows
-        )
-        manifest = StoreManifest(
-            schema=SCHEMA,
-            compress=compress,
-            chunk_rows=chunk_rows,
-            counts={
-                "events": len(dataset.events),
-                "files": len(dataset.files),
-                "processes": len(dataset.processes),
-            },
-            content_digest=dataset.content_digest(),
-            parts=tuple(parts),
-        )
-        payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-        # The manifest commits the export: readers treat its absence as
-        # "legacy or incomplete", never as a smaller valid dataset.
-        _write_part(path / MANIFEST_FILE, [payload.encode("utf-8")], compress=False)
-        rows = sum(part.rows for part in parts)
-        nbytes = sum(part.bytes for part in parts)
+    with trace.span("store.save", compress=compress) as span:
+        session = open_append_session(path, compress=compress)
+        events = dataset.events
+        for start in range(0, len(events), EXPORT_PART_ROWS):
+            session.append_events(events[start:start + EXPORT_PART_ROWS])
+        manifest = session.commit(dataset.files, dataset.processes)
+        rows = sum(part.rows for part in manifest.parts)
+        nbytes = sum(part.bytes for part in manifest.parts)
         span.set_attribute("rows", rows)
         span.set_attribute("bytes", nbytes)
     obs_metrics.counter(
@@ -368,17 +336,18 @@ def save_dataset(
 
 
 # ----------------------------------------------------------------------
-# Append sessions (streaming ingestion)
+# Append sessions (the one writer)
 # ----------------------------------------------------------------------
 
 
 class AppendSession:
     """Incremental, crash-recoverable event ingestion into a store.
 
-    Built for the streaming ingestion service
-    (:mod:`repro.serve`): reported events arrive in flush-sized batches
+    The store's only writer.  The streaming ingestion service
+    (:mod:`repro.serve`) appends reported events in flush-sized batches
     over a long run, and the directory must stay recoverable at every
-    instant.  The protocol::
+    instant; :func:`save_dataset` appends a whole dataset in
+    :data:`EXPORT_PART_ROWS` parts.  The protocol::
 
         session = open_append_session(directory)
         session.append_events(batch)        # repeatedly, one part each
@@ -387,22 +356,21 @@ class AppendSession:
     Guarantees:
 
     * **Atomic batch commits.**  Every :meth:`append_events` call writes
-      one JSONL part (temp-file + rename, exactly like
-      :func:`save_dataset`) and *then* atomically replaces the
-      checkpoint sidecar (``ingest.json``) recording the committed part
-      list.  The checkpoint replace is the batch's commit point: a crash
+      one JSONL part (temp-file + rename) and *then* atomically replaces
+      the checkpoint sidecar (``ingest.json``) recording the committed
+      part list.  The checkpoint replace is the batch's commit point: a crash
       between the two leaves an orphan part that is overwritten after
       resume, never a checkpoint pointing at missing data.
     * **Replay-based resume.**  ``open_append_session(..., resume=True)``
-      reloads the checkpoint, re-verifies every committed part's SHA-256
-      and row count, and rebuilds the incremental content digest.
+      reloads the checkpoint, streams every committed part through the
+      store's part reader in strict mode (SHA-256, byte and row counts,
+      row schema), and rebuilds the incremental content digest.
       :attr:`events_committed` then tells a deterministic producer how
       many *reported* events to skip re-appending while it replays its
       source to rebuild in-memory filter state.
     * **Digest-exact commits.**  :meth:`commit` writes the metadata
       tables (narrowed to hashes actually referenced, in first-seen
-      order) and a full :func:`save_dataset`-compatible manifest whose
-      ``content_digest`` equals
+      order) and then the manifest, whose ``content_digest`` equals
       :meth:`~repro.telemetry.dataset.TelemetryDataset.content_digest`
       of the equivalent batch-collected dataset -- the streaming
       equivalence oracle -- without ever holding all events in memory.
@@ -438,9 +406,6 @@ class AppendSession:
         """Checkpointed event parts, in append order."""
         return tuple(self._parts)
 
-    def _suffix(self) -> str:
-        return ".jsonl.gz" if self.compress else ".jsonl"
-
     def _write_checkpoint(self) -> None:
         payload = {
             "schema": SCHEMA,
@@ -471,14 +436,11 @@ class AppendSession:
         batch = list(events)
         if not batch:
             return None
-        name = f"events-{len(self._parts):05d}{self._suffix()}"
-        lines = [_encode_row(event) for event in batch]
-        nbytes, digest = _write_part(
-            self.directory / name, lines, self.compress
+        part = _write_table(
+            self.directory, "events", len(self._parts), batch, self.compress
         )
         if self._fault_hook is not None:
-            self._fault_hook(f"part_written:{name}")
-        part = PartInfo(name, "events", len(batch), nbytes, digest)
+            self._fault_hook(f"part_written:{part.name}")
         for event in batch:
             self._hasher.update(event_digest_line(event))
             self._file_shas.setdefault(event.file_sha1)
@@ -522,23 +484,19 @@ class AppendSession:
         if not self._parts:
             # An empty table still gets one (empty) part, so readers can
             # tell "no events" from "missing file".
-            name = f"events-{0:05d}{self._suffix()}"
-            nbytes, digest = _write_part(
-                self.directory / name, [], self.compress
+            self._parts.append(
+                _write_table(self.directory, "events", 0, [], self.compress)
             )
-            self._parts.append(PartInfo(name, "events", 0, nbytes, digest))
             self._write_checkpoint()
         narrowed_files = {sha: files[sha] for sha in self._file_shas}
         narrowed_procs = {sha: processes[sha] for sha in self._proc_shas}
-        parts = list(self._parts)
-        parts += _write_table(
-            self.directory, "files", narrowed_files.values(),
-            self.compress, None,
-        )
-        parts += _write_table(
-            self.directory, "processes", narrowed_procs.values(),
-            self.compress, None,
-        )
+        parts = [
+            *self._parts,
+            _write_table(self.directory, "files", 0,
+                         narrowed_files.values(), self.compress),
+            _write_table(self.directory, "processes", 0,
+                         narrowed_procs.values(), self.compress),
+        ]
         hasher = self._hasher.copy()
         for sha in sorted(narrowed_files):
             hasher.update(file_digest_line(narrowed_files[sha]))
@@ -547,7 +505,6 @@ class AppendSession:
         manifest = StoreManifest(
             schema=SCHEMA,
             compress=self.compress,
-            chunk_rows=None,
             counts={
                 "events": self.events_committed,
                 "files": len(narrowed_files),
@@ -557,13 +514,12 @@ class AppendSession:
             parts=tuple(parts),
         )
         known = {part.name for part in parts}
-        for pattern in ("events.jsonl*", "events-[0-9]*.jsonl*"):
-            for path in self.directory.glob(pattern):
-                if path.name not in known:
-                    try:
-                        path.unlink()
-                    except OSError:  # pragma: no cover - cleanup race
-                        pass
+        for path in self.directory.glob("events-[0-9]*.jsonl*"):
+            if path.name not in known:
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover - cleanup race
+                    pass
         payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
         _write_part(
             self.directory / MANIFEST_FILE,
@@ -593,70 +549,31 @@ class AppendSession:
             raise StoreError(
                 f"{CHECKPOINT_FILE}: unreadable checkpoint: {exc}"
             ) from exc
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != SCHEMA:
             raise StoreError(
-                f"{CHECKPOINT_FILE}: unsupported checkpoint schema "
-                f"{payload.get('schema')!r}"
+                f"{CHECKPOINT_FILE}: unsupported checkpoint schema {schema!r}"
             )
         self.compress = bool(payload.get("compress"))
         try:
             listed = [
-                PartInfo(
-                    name=str(entry["name"]),
-                    table=str(entry["table"]),
-                    rows=int(entry["rows"]),
-                    bytes=int(entry["bytes"]),
-                    sha256=str(entry["sha256"]),
-                )
+                PartInfo.from_dict(entry)
                 for entry in payload.get("parts") or []
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(
                 f"{CHECKPOINT_FILE}: malformed checkpoint: {exc}"
             ) from exc
-        for info in listed:
-            part_path = self.directory / info.name
-            if not part_path.is_file():
-                raise StoreError(
-                    f"{info.name}: checkpointed part is missing"
-                )
-            rows = 0
-            raw = open(part_path, "rb")
-            hashing = _HashingReader(raw)
-            try:
-                read = (
-                    gzip.GzipFile(fileobj=hashing, mode="rb").read
-                    if info.name.endswith(".gz")
-                    else hashing.read
-                )
-                try:
-                    for line in _iter_lines(read):
-                        if not line.strip():
-                            continue
-                        try:
-                            event = DownloadEvent(**json.loads(line))
-                        except (TypeError, ValueError) as exc:
-                            raise StoreError(
-                                f"{info.name}: invalid checkpointed row: "
-                                f"{exc}"
-                            ) from exc
-                        self._hasher.update(event_digest_line(event))
-                        self._file_shas.setdefault(event.file_sha1)
-                        self._proc_shas.setdefault(event.process_sha1)
-                        rows += 1
-                except (OSError, EOFError, zlib.error) as exc:
-                    raise StoreError(
-                        f"{info.name}: corrupt checkpointed part: {exc}"
-                    ) from exc
-            finally:
-                raw.close()
-            if rows != info.rows or hashing.hasher.hexdigest() != info.sha256:
-                raise StoreError(
-                    f"{info.name}: checkpointed part does not match its "
-                    f"recorded rows/checksum (crash-corrupted store?)"
-                )
-            self._parts.append(info)
-            self.events_committed += rows
+        ctx = _ReadContext(self.directory, strict=True, stats=None)
+        for name, lineno, obj, raw in _iter_parts(ctx, listed):
+            event = _build_record(
+                ctx, DownloadEvent, f"{name}:{lineno}", obj, raw
+            )
+            self._hasher.update(event_digest_line(event))
+            self._file_shas.setdefault(event.file_sha1)
+            self._proc_shas.setdefault(event.process_sha1)
+        self._parts = listed
+        self.events_committed = sum(part.rows for part in listed)
         declared = payload.get("events")
         if declared is not None and int(declared) != self.events_committed:
             raise StoreError(
@@ -674,12 +591,13 @@ def open_append_session(
 ) -> AppendSession:
     """Open (or resume) a streaming :class:`AppendSession`.
 
-    ``resume=False`` starts fresh, removing any previous export in the
+    ``resume=False`` starts fresh, removing any previous store in the
     directory.  ``resume=True`` picks up from the last checkpoint --
-    verifying every committed part -- or starts fresh when no checkpoint
-    exists yet; resuming a directory that was already *committed*
-    (manifest present, checkpoint gone) raises, since a sealed store
-    must not be silently appended to.
+    verifying every committed part, with :class:`StoreError` for a
+    damaged one and :class:`FileNotFoundError` for a missing one -- or
+    starts fresh when no checkpoint exists yet; resuming a directory
+    that was already *committed* (manifest present, checkpoint gone)
+    raises, since a sealed store must not be silently appended to.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -813,17 +731,20 @@ class _ReadContext:
         )
 
 
-def read_manifest(directory: Union[str, Path]) -> Optional[StoreManifest]:
-    """Parse and validate ``manifest.json``; ``None`` when absent.
+def read_manifest(directory: Union[str, Path]) -> StoreManifest:
+    """Parse and validate ``manifest.json``.
 
-    A present-but-corrupt manifest raises :class:`StoreError` in every
-    mode -- a store whose metadata cannot be trusted must not be read
-    silently.  (Delete the manifest to force the unverified legacy
-    path.)
+    A missing manifest raises :class:`FileNotFoundError`: the directory
+    holds no committed store, or an overwrite of one was interrupted.
+    A present-but-corrupt manifest raises :class:`StoreError`.  Both
+    hold in every mode -- a store whose metadata cannot be trusted must
+    not be read silently.
     """
     path = Path(directory) / MANIFEST_FILE
     if not path.is_file():
-        return None
+        raise FileNotFoundError(
+            f"{path}: no manifest, so no committed dataset store"
+        )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -837,23 +758,12 @@ def read_manifest(directory: Union[str, Path]) -> Optional[StoreManifest]:
             f"(this reader supports {SCHEMA!r})"
         )
     try:
-        parts = tuple(
-            PartInfo(
-                name=str(entry["name"]),
-                table=str(entry["table"]),
-                rows=int(entry["rows"]),
-                bytes=int(entry["bytes"]),
-                sha256=str(entry["sha256"]),
-            )
-            for entry in payload["parts"]
-        )
         manifest = StoreManifest(
             schema=schema,
             compress=bool(payload["compress"]),
-            chunk_rows=payload["chunk_rows"],
             counts={key: int(value) for key, value in payload["counts"].items()},
             content_digest=str(payload["content_digest"]),
-            parts=parts,
+            parts=tuple(PartInfo.from_dict(entry) for entry in payload["parts"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"{MANIFEST_FILE}: malformed manifest: {exc}") from exc
@@ -868,44 +778,24 @@ def read_manifest(directory: Union[str, Path]) -> Optional[StoreManifest]:
     return manifest
 
 
-def _table_parts(
-    ctx: _ReadContext, manifest: Optional[StoreManifest], table: str
-) -> List[Tuple[Path, Optional[PartInfo]]]:
-    """Resolve the on-disk parts of one table, manifest-first."""
-    if manifest is not None:
-        resolved: List[Tuple[Path, Optional[PartInfo]]] = []
-        for info in manifest.parts_for(table):
-            path = ctx.directory / info.name
-            if not path.is_file():
-                if ctx.strict:
-                    raise FileNotFoundError(str(path))
-                ctx.fault(info.name, "part listed in manifest is missing",
-                          rows_lost=info.rows)
-                continue
-            resolved.append((path, info))
-        return resolved
-    found = [
-        path
-        for pattern in (f"{table}.jsonl", f"{table}.jsonl.gz",
-                        f"{table}-[0-9]*.jsonl", f"{table}-[0-9]*.jsonl.gz")
-        for path in sorted(ctx.directory.glob(pattern))
-    ]
-    if not found:
-        raise FileNotFoundError(str(ctx.directory / f"{table}.jsonl"))
-    return [(path, None) for path in found]
-
-
-def _iter_table_rows(
-    ctx: _ReadContext, manifest: Optional[StoreManifest], table: str
+def _iter_parts(
+    ctx: _ReadContext, parts: Iterable[PartInfo]
 ) -> Iterator[Tuple[str, int, Dict[str, Any], bytes]]:
-    """Stream ``(part_name, lineno, parsed_row, raw_line)`` for a table.
+    """Stream ``(part_name, lineno, parsed_row, raw_line)`` over ``parts``.
 
-    Verifies each part's byte checksum and row count against the
-    manifest as a side effect of streaming -- no second pass over the
-    file -- and applies the context's strict/lenient fault policy.
+    The store's one part reader.  Verifies each part's byte checksum and
+    row count as a side effect of streaming -- no second pass over the
+    file -- and applies the context's strict/lenient fault policy.  A
+    missing part raises :class:`FileNotFoundError` in strict mode and
+    loses its rows in lenient mode.
     """
-    for path, info in _table_parts(ctx, manifest, table):
-        compressed = path.name.endswith(".gz")
+    for info in parts:
+        path = ctx.directory / info.name
+        if not path.is_file():
+            if ctx.strict:
+                raise FileNotFoundError(str(path))
+            ctx.fault(info.name, "listed part is missing", rows_lost=info.rows)
+            continue
         rows_emitted = 0
         rows_failed = 0  # line-level faults already quarantined here
         lineno = 0
@@ -913,9 +803,8 @@ def _iter_table_rows(
         hashing = _HashingReader(raw)
         corrupt = False
         try:
-            if compressed:
-                source = gzip.GzipFile(fileobj=hashing, mode="rb")
-                read = source.read
+            if info.name.endswith(".gz"):
+                read = gzip.GzipFile(fileobj=hashing, mode="rb").read
             else:
                 read = hashing.read
             try:
@@ -926,25 +815,23 @@ def _iter_table_rows(
                     try:
                         obj = json.loads(line)
                     except ValueError as exc:
-                        ctx.fault(f"{path.name}:{lineno}",
+                        ctx.fault(f"{info.name}:{lineno}",
                                   f"invalid JSON: {exc}", raw=line)
                         rows_failed += 1
                         continue
                     if not isinstance(obj, dict):
-                        ctx.fault(f"{path.name}:{lineno}",
+                        ctx.fault(f"{info.name}:{lineno}",
                                   "row is not a JSON object", raw=line)
                         rows_failed += 1
                         continue
                     rows_emitted += 1
-                    yield path.name, lineno, obj, line
+                    yield info.name, lineno, obj, line
             except (OSError, EOFError, zlib.error) as exc:
                 # A corrupt (typically gzip) part cannot be read past the
                 # damage; the remainder is lost.
                 corrupt = True
-                lost = 1
-                if info is not None:
-                    lost = max(info.rows - rows_emitted, 1)
-                ctx.fault(path.name, f"corrupt part: {exc}", rows_lost=lost)
+                ctx.fault(info.name, f"corrupt part: {exc}",
+                          rows_lost=max(info.rows - rows_emitted, 1))
         finally:
             raw.close()
         ctx.stats.parts_read += 1
@@ -956,7 +843,7 @@ def _iter_table_rows(
         obs_metrics.counter(
             "store.rows_read", "Rows read from dataset stores"
         ).inc(rows_emitted)
-        if info is None or corrupt:
+        if corrupt:
             continue
         # Lines that failed parsing still occupied a row on disk, so a
         # quarantined line must not additionally count as "missing".
@@ -964,11 +851,11 @@ def _iter_table_rows(
         if consumed != info.rows:
             if ctx.strict:
                 raise StoreError(
-                    f"{path.name}: expected {info.rows} rows, read "
+                    f"{info.name}: expected {info.rows} rows, read "
                     f"{rows_emitted} (truncated export?)"
                 )
             ctx.fault(
-                path.name,
+                info.name,
                 f"expected {info.rows} rows, read {consumed}",
                 rows_lost=max(info.rows - consumed, 0),
             )
@@ -977,7 +864,7 @@ def _iter_table_rows(
             or hashing.hasher.hexdigest() != info.sha256
         ):
             ctx.integrity(
-                path.name,
+                info.name,
                 "sha256 checksum mismatch (file modified after export?)",
             )
 
@@ -1001,13 +888,13 @@ def _build_record(
 
 def _read_table_records(
     ctx: _ReadContext,
-    manifest: Optional[StoreManifest],
+    manifest: StoreManifest,
     table: str,
     factory: Type,
 ) -> Dict[str, Any]:
     records: Dict[str, Any] = {}
     duplicates = 0
-    for name, lineno, obj, raw in _iter_table_rows(ctx, manifest, table):
+    for name, lineno, obj, raw in _iter_parts(ctx, manifest.parts_for(table)):
         record = _build_record(ctx, factory, f"{name}:{lineno}", obj, raw)
         if record is None:
             continue
@@ -1026,71 +913,22 @@ def _read_table_records(
     return records
 
 
-def read_files(
-    directory: Union[str, Path],
-    *,
-    strict: bool = True,
-    stats: Optional[ReadStats] = None,
-) -> Dict[str, FileRecord]:
-    """Load the file metadata table (small; always materialized)."""
-    ctx = _ReadContext(directory, strict, stats)
-    return _read_table_records(ctx, read_manifest(directory), "files", FileRecord)
-
-
-def read_processes(
-    directory: Union[str, Path],
-    *,
-    strict: bool = True,
-    stats: Optional[ReadStats] = None,
-) -> Dict[str, ProcessRecord]:
-    """Load the process metadata table (small; always materialized)."""
-    ctx = _ReadContext(directory, strict, stats)
-    return _read_table_records(
-        ctx, read_manifest(directory), "processes", ProcessRecord
-    )
-
-
-def iter_events(
-    directory: Union[str, Path],
-    *,
-    strict: bool = True,
-    stats: Optional[ReadStats] = None,
-) -> Iterator[DownloadEvent]:
-    """Stream the event log without materializing it.
-
-    Events are yielded in stored order -- timestamp-sorted for any store
-    written by :func:`save_dataset` -- so the stream satisfies
-    :meth:`repro.telemetry.collector.CollectionServer.submit`'s ordering
-    contract and can be fed straight into
-    :func:`repro.telemetry.collector.collect`.  Checksums are verified
-    as the bytes stream by; in strict mode a mismatch raises after the
-    affected part's rows were yielded (abort on exception).
-    """
-    ctx = _ReadContext(directory, strict, stats)
-    manifest = read_manifest(directory)
-    with trace.span("store.iter_events", strict=strict):
-        for name, lineno, obj, raw in _iter_table_rows(ctx, manifest, "events"):
-            event = _build_record(ctx, DownloadEvent, f"{name}:{lineno}", obj, raw)
-            if event is not None:
-                yield event
-
-
 def load_dataset(
     directory: Union[str, Path],
     *,
     strict: bool = True,
     stats: Optional[ReadStats] = None,
 ) -> TelemetryDataset:
-    """Read a dataset previously written by :func:`save_dataset`.
+    """Read a dataset store, as committed by :class:`AppendSession`.
 
-    Raises :class:`FileNotFoundError` when a table (or a manifest-listed
-    part, in strict mode) is missing, and :class:`StoreError` -- a
-    :class:`ValueError` -- with ``<file>:<line>`` context on malformed
-    rows, duplicate sha1 rows, truncation, checksum mismatches or a
-    dataset-digest mismatch (strict mode).  In lenient mode
-    (``strict=False``) every such fault is quarantined or counted
-    instead (see :class:`ReadStats`) and a valid dataset of the
-    surviving rows is returned.
+    Raises :class:`FileNotFoundError` when ``manifest.json`` is missing
+    (in both modes) or a manifest-listed part is (strict mode), and
+    :class:`StoreError` -- a :class:`ValueError` -- with
+    ``<file>:<line>`` context on malformed rows, duplicate sha1 rows,
+    truncation, checksum mismatches or a dataset-digest mismatch
+    (strict mode).  In lenient mode (``strict=False``) every such fault
+    is quarantined or counted instead (see :class:`ReadStats`) and a
+    valid dataset of the surviving rows is returned.
     """
     ctx = _ReadContext(directory, strict, stats)
     with trace.span("store.load", strict=strict) as span:
@@ -1098,7 +936,9 @@ def load_dataset(
         files = _read_table_records(ctx, manifest, "files", FileRecord)
         processes = _read_table_records(ctx, manifest, "processes", ProcessRecord)
         events: List[DownloadEvent] = []
-        for name, lineno, obj, raw in _iter_table_rows(ctx, manifest, "events"):
+        for name, lineno, obj, raw in _iter_parts(
+            ctx, manifest.parts_for("events")
+        ):
             event = _build_record(ctx, DownloadEvent, f"{name}:{lineno}", obj, raw)
             if event is None:
                 continue
@@ -1111,7 +951,7 @@ def load_dataset(
                 continue
             events.append(event)
         dataset = TelemetryDataset(events, files, processes)
-        if strict and manifest is not None:
+        if strict:
             digest = dataset.content_digest()
             if digest != manifest.content_digest:
                 raise StoreError(

@@ -1,4 +1,5 @@
-"""Tests for the store's default save/load path (the legacy JSONL layout)."""
+"""Tests for the store's default export/import path: ``save_dataset``
+and a strict ``load_dataset`` of a one-part-per-table store."""
 
 import json
 
@@ -37,7 +38,7 @@ class TestRoundTrip:
     def test_directory_created(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "dir"
         save_dataset(_dataset(), target)
-        assert (target / "events.jsonl").exists()
+        assert (target / "events-00000.jsonl").exists()
 
     def test_overwrite_existing_export(self, tmp_path):
         directory = tmp_path / "corpus"
@@ -67,7 +68,7 @@ class TestRoundTrip:
 
 
 class TestAtomicityAndVerification:
-    """The legacy path's silent-truncation and error-contract bugfixes."""
+    """The silent-truncation and error-contract bugfixes of the store."""
 
     def test_save_writes_manifest_and_no_temp_files(self, tmp_path):
         directory = save_dataset(_dataset(), tmp_path / "corpus")
@@ -75,30 +76,30 @@ class TestAtomicityAndVerification:
         assert not list(directory.glob("*.tmp"))
 
     def test_truncated_export_refused(self, tmp_path):
-        """A crash-truncated events.jsonl must not load silently smaller."""
+        """A crash-truncated events part must not load silently smaller."""
         directory = save_dataset(_dataset(), tmp_path / "corpus")
-        events = directory / "events.jsonl"
+        events = directory / "events-00000.jsonl"
         first_line = events.read_text(encoding="utf-8").splitlines()[0]
         events.write_text(first_line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="events.jsonl"):
+        with pytest.raises(ValueError, match="events-00000.jsonl"):
             load_dataset(directory)
 
     def test_malformed_row_raises_value_error_with_context(self, tmp_path):
         """The docstring's ValueError contract, with file:line context."""
         directory = save_dataset(_dataset(), tmp_path / "corpus")
-        events = directory / "events.jsonl"
+        events = directory / "events-00000.jsonl"
         lines = events.read_text(encoding="utf-8").splitlines()
         row = json.loads(lines[1])
         row["unexpected_key"] = True
         lines[1] = json.dumps(row)
         events.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="events.jsonl:2"):
+        with pytest.raises(ValueError, match="events-00000.jsonl:2"):
             load_dataset(directory)
 
     def test_duplicate_sha1_rows_rejected(self, tmp_path):
         """Duplicate sha1 rows are no longer silently last-wins."""
         directory = save_dataset(_dataset(), tmp_path / "corpus")
-        files = directory / "files.jsonl"
+        files = directory / "files-00000.jsonl"
         first_line = files.read_text(encoding="utf-8").splitlines()[0]
         with open(files, "a", encoding="utf-8") as handle:
             handle.write(first_line + "\n")

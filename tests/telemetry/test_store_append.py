@@ -157,6 +157,15 @@ def test_resume_detects_corrupted_part(tmp_path):
         open_append_session(tmp_path / "store", resume=True)
 
 
+@pytest.mark.parametrize("payload", ["[]", "{not json"])
+def test_resume_rejects_unusable_checkpoint(tmp_path, payload):
+    session = open_append_session(tmp_path / "store")
+    session.append_events(_events()[:2])
+    (tmp_path / "store" / CHECKPOINT_FILE).write_text(payload)
+    with pytest.raises(StoreError, match="checkpoint"):
+        open_append_session(tmp_path / "store", resume=True)
+
+
 def test_quarantine_records_poison(tmp_path):
     session = open_append_session(tmp_path / "store")
     session.quarantine(

@@ -43,8 +43,7 @@ class TestExportImport:
 
     def test_round_trip_verified(self, tmp_path, capsys):
         out = tmp_path / "store"
-        assert main(["export", *SCALE, "--out", str(out), "--compress",
-                     "--chunk-rows", "500"]) == 0
+        assert main(["export", *SCALE, "--out", str(out), "--compress"]) == 0
         export_output = capsys.readouterr().out
         assert "content digest:" in export_output
         assert (out / "manifest.json").exists()
@@ -56,7 +55,7 @@ class TestExportImport:
         out = tmp_path / "store"
         assert main(["export", *SCALE, "--out", str(out)]) == 0
         capsys.readouterr()
-        events = out / "events.jsonl"
+        events = out / "events-00000.jsonl"
         lines = events.read_text(encoding="utf-8").splitlines()
         events.write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
         assert main(["import", str(out)]) == 1
@@ -66,7 +65,7 @@ class TestExportImport:
         out = tmp_path / "store"
         assert main(["export", *SCALE, "--out", str(out)]) == 0
         capsys.readouterr()
-        events = out / "events.jsonl"
+        events = out / "events-00000.jsonl"
         lines = events.read_text(encoding="utf-8").splitlines()
         events.write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
         assert main(["import", str(out), "--lenient"]) == 0

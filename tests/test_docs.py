@@ -1,4 +1,4 @@
-"""Every CLI command the documentation shows must parse.
+"""Every CLI command and Python import the documentation shows must work.
 
 Each line of a fenced block that starts with ``repro`` or
 ``python -m repro.cli`` (after an optional ``$`` prompt, with ``\\``
@@ -6,14 +6,21 @@ continuations joined and a trailing ``# comment`` or ``> redirect``
 stripped) goes through :func:`repro.cli.build_parser`, and so does the
 command a ``profile`` line wraps.  A documented subcommand or flag that
 the CLI no longer has fails here.
+
+Each fenced ``python`` block must parse, every ``from repro... import
+name`` in it must resolve, and so must every ``alias.attr`` where
+``alias`` names a module imported from ``repro``.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -57,6 +64,72 @@ def documented_commands(path: Path) -> Iterator[Tuple[int, List[str]]]:
                 yield start, shlex.split(text[len(prefix):])
 
 
+def python_blocks(path: Path) -> Iterator[Tuple[int, str]]:
+    """``(line number of the fence, source)`` of every ``python`` block."""
+    block: List[str] = []
+    start = 0
+    inside = False
+    for number, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        fence = line.strip()
+        if inside and fence.startswith("```"):
+            yield start, "\n".join(block)
+            inside = False
+        elif not inside and fence == "```python":
+            block, start, inside = [], number, True
+        elif inside:
+            block.append(line)
+
+
+def _resolve(module: str, name: str):
+    """``module.name`` as an attribute or a submodule; raises if neither."""
+    parent = importlib.import_module(module)
+    if hasattr(parent, name):
+        return getattr(parent, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def unresolved_imports(source: str) -> List[Tuple[int, str]]:
+    """``(line, dotted name)`` of every ``repro`` name ``source`` uses
+    that does not exist."""
+    tree = ast.parse(source)
+    stale: List[Tuple[int, str]] = []
+    modules: Dict[str, object] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            (node.module or "").split(".")[0] == "repro"
+        ):
+            for alias in node.names:
+                try:
+                    value = _resolve(node.module, alias.name)
+                except ImportError:
+                    stale.append((node.lineno, f"{node.module}.{alias.name}"))
+                    continue
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "repro":
+                    continue
+                try:
+                    value = importlib.import_module(alias.name)
+                except ImportError:
+                    stale.append((node.lineno, alias.name))
+                    continue
+                if alias.asname:
+                    modules[alias.asname] = value
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and not hasattr(modules[node.value.id], node.attr)
+        ):
+            stale.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(stale)
+
+
 def _parses(argv: List[str]) -> bool:
     try:
         args = build_parser().parse_args(argv)
@@ -96,3 +169,42 @@ def test_extraction(tmp_path, text, argv):
     document.write_text(f"{text}\n```bash\n{text}\n```\n", encoding="utf-8")
     found = [tokens for _, tokens in documented_commands(document)]
     assert found == ([argv] if argv else [])
+
+
+def test_documented_python_imports_resolve():
+    blocks = [
+        (path.relative_to(ROOT), number, source)
+        for path in DOCUMENTS
+        for number, source in python_blocks(path)
+    ]
+    assert blocks
+    stale = []
+    for path, number, source in blocks:
+        try:
+            found = unresolved_imports(source)
+        except SyntaxError as exc:
+            stale.append(f"{path}:{number}: does not parse: {exc}")
+            continue
+        stale.extend(f"{path}:{number + line}: {name}" for line, name in found)
+    assert not stale, "\n".join(stale)
+
+
+def test_import_check_flags_stale_names(tmp_path):
+    document = tmp_path / "doc.md"
+    document.write_text(
+        "```python\n"
+        "from repro.telemetry import store, no_such_name\n"
+        "import repro.telemetry.store as st\n"
+        "store.load_dataset(path)\n"
+        "store.no_such_reader(path)\n"
+        "st.no_such_writer(path)\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    [(number, source)] = python_blocks(document)
+    assert number == 1
+    assert unresolved_imports(source) == [
+        (1, "repro.telemetry.no_such_name"),
+        (4, "store.no_such_reader"),
+        (5, "st.no_such_writer"),
+    ]

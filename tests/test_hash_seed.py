@@ -76,8 +76,9 @@ def _file_digests(directory: Path):
         # ``store/`` under its working directory.
         (["-m", "repro.cli", "export", "--out", "store", *CORPUS],
          b"content digest:", {0},
-         {"store": {"events.jsonl", "files.jsonl", "processes.jsonl",
-                    "manifest.json", "labels.jsonl"}}),
+         {"store": {"events-00000.jsonl", "files-00000.jsonl",
+                    "processes-00000.jsonl", "manifest.json",
+                    "labels.jsonl"}}),
         # Exit status 1 is the fidelity verdict, not an error: at this
         # scale some targets fail.
         (["-m", "repro.cli", "validate", "--seeds", "1", *CORPUS],

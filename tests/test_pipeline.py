@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro import (
-    Session,
-    WorldConfig,
-    build_session,
-    export_session,
-    import_dataset,
-)
+from repro import Session, WorldConfig, build_session
 from repro.labeling.whitelists import AlexaService
+from repro.telemetry.store import load_dataset, save_dataset
 
 
 class TestBuildSession:
@@ -63,15 +58,14 @@ class TestBuildSession:
 
 class TestExportImport:
     def test_export_import_round_trip(self, small_session, tmp_path):
-        export_session(small_session, tmp_path / "store", compress=True,
-                       chunk_rows=2000)
-        imported = import_dataset(tmp_path / "store")
+        save_dataset(small_session.dataset, tmp_path / "store", compress=True)
+        imported = load_dataset(tmp_path / "store")
         assert imported.content_digest() == (
             small_session.dataset.content_digest()
         )
 
     def test_build_session_from_store(self, small_session, tmp_path):
-        export_session(small_session, tmp_path / "store")
+        save_dataset(small_session.dataset, tmp_path / "store")
         # Prime the memo first: other tests may have cleared the global
         # session cache, so identity vs small_session itself is not
         # guaranteed here — only memo behaviour around the import is.
@@ -92,9 +86,43 @@ class TestExportImport:
 
     def test_build_session_from_corrupt_store_fails(self, small_session,
                                                     tmp_path):
-        export_session(small_session, tmp_path / "store")
-        events = tmp_path / "store" / "events.jsonl"
+        save_dataset(small_session.dataset, tmp_path / "store")
+        events = tmp_path / "store" / "events-00000.jsonl"
         lines = events.read_text(encoding="utf-8").splitlines()
         events.write_text("\n".join(lines[:-10]) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="events.jsonl"):
+        with pytest.raises(ValueError, match="events-00000.jsonl"):
             build_session(small_session.config, dataset_dir=tmp_path / "store")
+
+
+class TestEntryPaths:
+    def test_report_text_identical_across_entry_paths(self, small_session,
+                                                       tmp_path):
+        """In-memory, imported-store and streamed-store sessions render
+        the same text for every ``report`` experiment."""
+        from repro.analysis.frame import clear_frame_cache
+        from repro.cli import _EXPERIMENTS, _render
+        from repro.obs import metrics as obs_metrics
+        from repro.pipeline import stream_session
+
+        config = small_session.config
+        save_dataset(small_session.dataset, tmp_path / "export")
+        assert stream_session(config, tmp_path / "streamed").digest_match
+        sessions = [
+            small_session,
+            build_session(config, dataset_dir=tmp_path / "export"),
+            build_session(config, dataset_dir=tmp_path / "streamed"),
+        ]
+        builds = obs_metrics.counter("analysis.frame_build")
+        before = builds.value
+        texts = []
+        for session in sessions:
+            # The frame memo is keyed by the labeled digest, which all
+            # three share: without the clear, one frame would serve all.
+            clear_frame_cache()
+            texts.append(
+                "\n\n".join(_render(session, name) for name in _EXPERIMENTS)
+            )
+        assert builds.value == before + 3
+        assert len(_EXPERIMENTS) == 23
+        assert texts[1] == texts[0]
+        assert texts[2] == texts[0]
