@@ -194,7 +194,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         session.dataset, args.out, compress=args.compress
     )
     labeled = session.labeled
-    with open(path / "labels.jsonl", "w", encoding="utf-8") as handle:
+    with open(path / telemetry_store.LABELS_FILE, "w",
+              encoding="utf-8") as handle:
         for sha1, label in sorted(labeled.file_labels.items()):
             extraction = labeled.file_types.get(sha1)
             record = {
@@ -574,6 +575,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"injected crash: {exc}", file=sys.stderr)
         print(f"store checkpoint left in {args.out}; rerun with --resume "
               f"to recover and finish the stream", file=sys.stderr)
+        return 1
+    except (FileNotFoundError, telemetry_store.StoreError) as exc:
+        print(f"serve failed: {exc}", file=sys.stderr)
         return 1
     ingest = outcome.ingest
     load = outcome.load

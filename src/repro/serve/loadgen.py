@@ -36,7 +36,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..telemetry.agent import ReportingPolicy, SoftwareAgent
 from ..telemetry.collector import FilterStats
-from ..telemetry.events import DownloadEvent
+from ..telemetry.events import DownloadEvent, row_dict
 from .faults import FaultSchedule, make_poison_record
 from .queues import QueueClosed
 from .service import IngestService
@@ -113,7 +113,7 @@ class LoadGenerator:
                 else:
                     stats.whitelisted_url += 1
                 continue
-            yield index, dataclasses.asdict(event)
+            yield index, row_dict(event)
 
     def merged_stream(self) -> Iterator[Dict[str, Any]]:
         """All agents' survivors, merged back into corpus order.

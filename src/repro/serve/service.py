@@ -28,8 +28,9 @@ import dataclasses
 import signal
 import threading
 import time
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace

@@ -14,7 +14,7 @@ time-delta analysis natural and avoids datetime arithmetic in hot loops.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 #: Month boundaries of the seven-month collection window (Jan-Jul 2014),
@@ -181,3 +181,23 @@ class DownloadEvent:
     def e2ld(self) -> str:
         """Effective 2LD of the download URL's host."""
         return effective_2ld(self.domain)
+
+
+#: Field names of each row type, in declaration order.
+_ROW_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in (DownloadEvent, FileRecord, ProcessRecord)
+}
+
+
+def row_dict(
+    record: Union[DownloadEvent, FileRecord, ProcessRecord]
+) -> Dict[str, Any]:
+    """``record`` as ``{field name: value}``, in field-declaration order.
+
+    The one encoding of a row: the dataset store writes ``json.dumps`` of
+    it as one line, and the load generator sends it as a wire record.
+    It equals ``dataclasses.asdict(record)`` -- every field is a string,
+    number, bool or ``None`` -- without asdict's per-field deep copy.
+    """
+    return {name: getattr(record, name) for name in _ROW_FIELDS[type(record)]}

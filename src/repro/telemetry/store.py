@@ -17,6 +17,11 @@ Layout of a store directory::
     processes-00000.jsonl[.gz]  -- process metadata table
     ingest.json                 -- checkpoint of an uncommitted append session
     quarantine.jsonl            -- sidecar of rows rejected by lenient reads
+    labels.jsonl                -- ground truth beside a ``repro export``
+
+Every part holds one JSON object per line: the row's fields as keys, in
+field-declaration order (:func:`repro.telemetry.events.row_dict`),
+serialized by ``json.dumps`` with its defaults.
 
 Guarantees:
 
@@ -26,9 +31,9 @@ Guarantees:
   written *last*.  Reads refuse a directory without a manifest, so a
   crash mid-save or mid-overwrite never yields a directory that loads
   as a valid smaller dataset.
-* **Deterministic bytes.**  Rows are serialized in stable field order,
-  in dataset order, and gzip members are written with ``mtime=0``:
-  identical datasets export byte-identical stores.
+* **Deterministic bytes.**  Rows are serialized by that one row
+  contract, in dataset order, and gzip members are written with
+  ``mtime=0``: identical datasets export byte-identical stores.
 * **Verified reads.**  ``strict=True`` (the default) fails fast with
   ``<file>:<line>`` context on any malformed row, duplicate sha1,
   truncated or checksum-mismatched part, and cross-checks the reloaded
@@ -80,11 +85,12 @@ from .dataset import (
     file_digest_line,
     process_digest_line,
 )
-from .events import DownloadEvent, FileRecord, ProcessRecord
+from .events import DownloadEvent, FileRecord, ProcessRecord, row_dict
 
 __all__ = [
     "CHECKPOINT_FILE",
     "EXPORT_PART_ROWS",
+    "LABELS_FILE",
     "MANIFEST_FILE",
     "QUARANTINE_FILE",
     "SCHEMA",
@@ -108,6 +114,10 @@ QUARANTINE_FILE = "quarantine.jsonl"
 
 #: Append-session checkpoint sidecar (see :class:`AppendSession`).
 CHECKPOINT_FILE = "ingest.json"
+
+#: Ground-truth labels ``repro export`` writes beside the store.  A fresh
+#: session removes them with the old store: they describe its corpus.
+LABELS_FILE = "labels.jsonl"
 
 _TABLES = ("events", "files", "processes")
 _READ_CHUNK = 1 << 20
@@ -139,7 +149,8 @@ class PartInfo:
     sha256: str
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {"name": self.name, "table": self.table, "rows": self.rows,
+                "bytes": self.bytes, "sha256": self.sha256}
 
     @classmethod
     def from_dict(cls, entry: Dict[str, Any]) -> "PartInfo":
@@ -248,7 +259,7 @@ def _write_part(path: Path, lines: Iterable[bytes], compress: bool) -> Tuple[int
 
 
 def _encode_row(record: Any) -> bytes:
-    return (json.dumps(dataclasses.asdict(record)) + "\n").encode("utf-8")
+    return (json.dumps(row_dict(record)) + "\n").encode("utf-8")
 
 
 def _write_table(
@@ -282,7 +293,8 @@ def quarantine_record(directory: Union[str, Path], record: Dict[str, Any]) -> No
 
 
 def _remove_existing(directory: Path) -> None:
-    """Drop a previous store so its parts can never be read again.
+    """Drop a previous store, and an export's labels beside it, so its
+    parts can never be read again.
 
     The manifest goes first: should cleanup be interrupted, every read
     refuses the directory instead of loading the parts that are left.
@@ -291,6 +303,7 @@ def _remove_existing(directory: Path) -> None:
         directory / MANIFEST_FILE,
         directory / QUARANTINE_FILE,
         directory / CHECKPOINT_FILE,
+        directory / LABELS_FILE,
     ]
     for table in _TABLES:
         stale.extend(directory.glob(f"{table}-[0-9]*.jsonl*"))
@@ -793,7 +806,7 @@ def _iter_parts(
         path = ctx.directory / info.name
         if not path.is_file():
             if ctx.strict:
-                raise FileNotFoundError(str(path))
+                raise FileNotFoundError(f"{path}: listed part is missing")
             ctx.fault(info.name, "listed part is missing", rows_lost=info.rows)
             continue
         rows_emitted = 0

@@ -1,5 +1,6 @@
 """Tests for the versioned dataset store: round trips and fault injection."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,9 +8,15 @@ import pytest
 
 from repro.cli import main
 from repro.obs import metrics as obs_metrics
+from repro.serve import LoadGenerator
 from repro.telemetry import store
 from repro.telemetry.dataset import TelemetryDataset
-from repro.telemetry.events import DownloadEvent, FileRecord, ProcessRecord
+from repro.telemetry.events import (
+    DownloadEvent,
+    FileRecord,
+    ProcessRecord,
+    row_dict,
+)
 from repro.telemetry.store import (
     MANIFEST_FILE,
     QUARANTINE_FILE,
@@ -180,6 +187,92 @@ class TestRoundTrip:
         reloaded = load_dataset(tmp_path / "c")
         assert list(reloaded.files) == [F1, F2]
         assert reloaded.content_digest() == original.content_digest()
+
+
+def _row_dataset():
+    """Rows that exercise every JSON case a store row meets."""
+    events = [
+        # repr needs 17 significant digits for this timestamp.
+        DownloadEvent(F1, "M0", P1, "http://dl.example.com/a.exe",
+                      0.30000000000000004),
+        DownloadEvent(F2, "M1", P2, "http://cdn.example.org/b.exe", 2.5,
+                      executed=False),
+    ]
+    files = {
+        F1: FileRecord(F1, "s\u00e9tup_\u4e2d\U0001f600.exe", 1234,
+                       signer="S", ca="C", packer="UPX"),
+        F2: FileRecord(F2, "b.exe", 999),
+    }
+    processes = {
+        P1: ProcessRecord(P1, "chrome.exe", signer="Google Inc"),
+        P2: ProcessRecord(P2, "setup.exe"),
+    }
+    return TelemetryDataset(events, files, processes)
+
+
+#: The bytes of ``_row_dataset``'s parts: one JSON object per line, keys
+#: in field-declaration order, ``json.dumps`` defaults (``", "`` and
+#: ``": "`` separators, ``\uXXXX`` escapes, ``repr`` floats).
+ROW_BYTES = {
+    "events-00000.jsonl": (
+        b'{"file_sha1": "1111111111111111111111111111111111111111", '
+        b'"machine_id": "M0", '
+        b'"process_sha1": "pppppppppppppppppppppppppppppppppppppppp", '
+        b'"url": "http://dl.example.com/a.exe", '
+        b'"timestamp": 0.30000000000000004, "executed": true}\n'
+        b'{"file_sha1": "2222222222222222222222222222222222222222", '
+        b'"machine_id": "M1", '
+        b'"process_sha1": "qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq", '
+        b'"url": "http://cdn.example.org/b.exe", '
+        b'"timestamp": 2.5, "executed": false}\n'
+    ),
+    "files-00000.jsonl": (
+        b'{"sha1": "1111111111111111111111111111111111111111", '
+        b'"file_name": "s\\u00e9tup_\\u4e2d\\ud83d\\ude00.exe", '
+        b'"size_bytes": 1234, "signer": "S", "ca": "C", "packer": "UPX"}\n'
+        b'{"sha1": "2222222222222222222222222222222222222222", '
+        b'"file_name": "b.exe", '
+        b'"size_bytes": 999, "signer": null, "ca": null, "packer": null}\n'
+    ),
+    "processes-00000.jsonl": (
+        b'{"sha1": "pppppppppppppppppppppppppppppppppppppppp", '
+        b'"executable_name": "chrome.exe", '
+        b'"signer": "Google Inc", "ca": null, "packer": null}\n'
+        b'{"sha1": "qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq", '
+        b'"executable_name": "setup.exe", '
+        b'"signer": null, "ca": null, "packer": null}\n'
+    ),
+}
+
+
+class TestRowBytes:
+    """The row contract, pinned: parts and wire records keep their bytes."""
+
+    def test_parts_hold_pinned_bytes(self, tmp_path):
+        directory = save_dataset(_row_dataset(), tmp_path / "c")
+        for name, expected in ROW_BYTES.items():
+            assert (directory / name).read_bytes() == expected, name
+        assert load_dataset(directory).content_digest() == (
+            _row_dataset().content_digest()
+        )
+
+    def test_row_dict_keys_are_fields_in_order(self):
+        dataset = _row_dataset()
+        for record in (*dataset.events, *dataset.files.values(),
+                       *dataset.processes.values()):
+            names = [field.name for field in dataclasses.fields(record)]
+            assert list(row_dict(record)) == names
+            assert row_dict(record) == dataclasses.asdict(record)
+
+    def test_wire_records_are_asdict(self):
+        events = [*_row_dataset().events, *_dataset().events]
+        records = list(LoadGenerator(events, agents=2).merged_stream())
+        expected = [dataclasses.asdict(event) for event in events
+                    if event.executed]
+        assert records == expected
+        assert [list(record) for record in records] == [
+            list(record) for record in expected
+        ]
 
 
 class TestStreaming:

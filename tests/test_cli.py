@@ -298,6 +298,38 @@ class TestServe:
         assert "equivalence: OK" in output
         assert int(re.search(r"resumed_from=(\d+)", output).group(1)) >= 1
 
+    @pytest.mark.parametrize("damage", ["damaged", "missing"])
+    def test_resume_over_bad_part_fails_cleanly(self, tmp_path, capsys,
+                                                damage):
+        """A checkpointed part that no longer verifies ends the resume
+        with one ``serve failed`` line, not a traceback."""
+        out = tmp_path / "store"
+        command = ["serve", *SCALE, "--out", str(out), "--inline"]
+        assert main([*command, "--crash-after-parts", "2"]) == 1
+        capsys.readouterr()
+        part = out / "events-00000.jsonl"
+        if damage == "damaged":
+            with part.open("ab") as handle:
+                handle.write(b"x")
+        else:
+            part.unlink()
+        assert main([*command, "--resume"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("serve failed: ")
+        assert ("events-00000.jsonl:" if damage == "damaged"
+                else "events-00000.jsonl: listed part is missing") in err[-1]
+
+    def test_fresh_store_drops_old_export_labels(self, tmp_path, capsys):
+        """Labels describe the export's corpus, so a new store over it
+        removes them; a new export writes its own."""
+        out = tmp_path / "store"
+        assert main(["export", *SCALE, "--out", str(out)]) == 0
+        labels = (out / "labels.jsonl").read_bytes()
+        assert main(["serve", *SCALE, "--inline", "--out", str(out)]) == 0
+        assert not (out / "labels.jsonl").exists()
+        assert main(["export", *SCALE, "--out", str(out)]) == 0
+        assert (out / "labels.jsonl").read_bytes() == labels
+
     def test_no_cache_rebuilds_the_session(self, tmp_path, capsys):
         from repro.obs import metrics as obs_metrics
 
