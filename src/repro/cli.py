@@ -15,7 +15,7 @@ Twelve subcommands cover the common workflows::
     python -m repro.cli profile  --out run.collapsed run --scale 0.01
     python -m repro.cli bench    --check --quick
     python -m repro.cli serve    --scale 0.01 --out serve-store/ \
-        --agents 4 --lifecycle --poison-every 1000
+        --agents 4 --poison-every 1000
 
 ``export`` writes the telemetry corpus as a versioned, checksummed
 dataset store (:mod:`repro.telemetry.store` -- optionally gzip-compressed)
@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from . import reporting, sched
-from .core.evaluation import full_evaluation, learn_rules
+from .core.evaluation import DEFAULT_TAUS, full_evaluation, learn_rules
 from .obs import manifest as obs_manifest
 from .obs import metrics as obs_metrics
 from .obs import profile as obs_profile
@@ -340,7 +340,8 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     session = _session(args)
     evaluation = full_evaluation(
-        session.labeled, session.alexa, taus=tuple(args.tau),
+        session.labeled, session.alexa,
+        taus=DEFAULT_TAUS if args.tau is None else tuple(args.tau),
         jobs=args.jobs,
     )
     xvi = reporting.render_table_xvi(evaluation)
@@ -563,8 +564,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             agents=args.agents,
             serve_config=serve_config,
             faults=faults,
-            lifecycle=args.lifecycle,
-            matured=not args.live_labels,
             threaded=not args.inline,
             rate_per_sec=args.rate,
             resume=args.resume,
@@ -591,17 +590,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"p99_ingest_latency={ingest.p99_latency_ms:.2f} ms  "
           f"queue_max_depth={ingest.queue_max_depth}")
     print(f"content_digest={ingest.content_digest[:16]}")
-    if outcome.lifecycle is not None:
-        lifecycle = outcome.lifecycle
-        rules = ", ".join(
-            f"m{month}:{count}"
-            for month, count in sorted(lifecycle.rules_per_month.items())
-        )
-        print(f"lifecycle: {lifecycle.observations} observations, "
-              f"{lifecycle.retrains} retrains, "
-              f"{lifecycle.months_closed} months closed "
-              f"({rules}), {len(lifecycle.shifts)} drift shifts, "
-              f"{lifecycle.label_flips} label flips")
     if outcome.digest_match:
         print("equivalence: OK (streamed store digest == batch collect)")
         return 0
@@ -660,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_world_arguments(report)
     report.add_argument(
-        "--experiment", nargs="*",
+        "--experiment", nargs="*", action="extend",
         help=f"experiments to render (default: all of "
-             f"{', '.join(_EXPERIMENTS)})",
+             f"{', '.join(_EXPERIMENTS)}; repeatable)",
     )
     report.add_argument(
         "--all", action="store_true", dest="all_experiments",
@@ -701,8 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="run the Tables XVI/XVII monthly evaluation"
     )
     _add_world_arguments(evaluate)
-    evaluate.add_argument("--tau", type=float, nargs="*", default=[0.0, 0.001],
-                          help="error thresholds (default: 0.0 0.001)")
+    evaluate.add_argument("--tau", type=float, nargs="*", action="extend",
+                          help="error thresholds (default: 0.0 0.001; "
+                               "repeatable)")
     evaluate.add_argument("--out", help="optional output directory")
     evaluate.set_defaults(func=_cmd_evaluate)
 
@@ -769,8 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the registered perf benches, append to the BENCH "
              "trajectory and (with --check) gate against its median",
     )
-    bench.add_argument("--bench", nargs="*", metavar="NAME",
-                       help="benches to run (default: all registered)")
+    bench.add_argument("--bench", nargs="*", action="extend", metavar="NAME",
+                       help="benches to run (default: all registered; "
+                            "repeatable)")
     bench.add_argument("--scale", type=float, default=None,
                        help="corpus scale for the benches (default 0.01, "
                             "or 0.002 with --quick)")
@@ -827,14 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--resume", action="store_true",
                        help="resume a crashed run from the store's ingest "
                             "checkpoint")
-    serve.add_argument("--lifecycle", action="store_true",
-                       help="tap reported events into the online rule "
-                            "lifecycle (month-boundary retrains + drift "
-                            "detection)")
-    serve.add_argument("--live-labels", action="store_true",
-                       help="with --lifecycle: label files at first sight "
-                            "and refresh via simulated VT rescans instead "
-                            "of matured ground truth")
     serve.add_argument("--poison-every", type=int, default=None,
                        metavar="N",
                        help="splice one undecodable record into the stream "

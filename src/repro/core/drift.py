@@ -13,8 +13,7 @@ training statistics, since coverage naturally changes month to month.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, deque
-from typing import Deque, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .rules import Rule, RuleSet
 
@@ -69,88 +68,6 @@ def drift_series(rulesets: Sequence[RuleSet]) -> List[DriftReport]:
         rule_drift(rulesets[index], rulesets[index + 1])
         for index in range(len(rulesets) - 1)
     ]
-
-
-@dataclasses.dataclass(frozen=True)
-class DistributionShift:
-    """One detected shift of the observed categorical distribution."""
-
-    at_count: int
-    distance: float
-    reference: Dict[str, float]
-    current: Dict[str, float]
-
-
-class DistributionDriftDetector:
-    """Sliding-window total-variation drift detector.
-
-    Watches a stream of categorical values (ground-truth labels, signer
-    names, feature values...) and fires when the distribution of the most
-    recent ``window`` values diverges from a frozen reference
-    distribution by more than ``threshold`` total variation distance.
-    The reference is the stream's first full window; after every firing
-    it rebases to the current window, so one ecosystem change yields one
-    trigger instead of a trigger per event.
-
-    The streaming service uses this to force rule retraining *between*
-    scheduled retrain boundaries when the label mix shifts abruptly
-    (e.g. a new PPI campaign), complementing the purely time-based
-    cadence of :meth:`OnlineRuleClassifier._retrain_due`.
-    """
-
-    def __init__(self, window: int = 200, threshold: float = 0.25) -> None:
-        if window < 2:
-            raise ValueError("window must be at least 2")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        self.window = window
-        self.threshold = threshold
-        self._recent: Deque[Hashable] = deque(maxlen=window)
-        self._reference: Optional[Dict[Hashable, float]] = None
-        self.observed = 0
-        self.shifts: List[DistributionShift] = []
-
-    @staticmethod
-    def _distribution(values) -> Dict[Hashable, float]:
-        counts = Counter(values)
-        total = sum(counts.values())
-        return {value: count / total for value, count in counts.items()}
-
-    def distance(self) -> float:
-        """Current TVD between the recent window and the reference."""
-        if self._reference is None or not self._recent:
-            return 0.0
-        current = self._distribution(self._recent)
-        keys = set(self._reference) | set(current)
-        return 0.5 * sum(
-            abs(current.get(key, 0.0) - self._reference.get(key, 0.0))
-            for key in keys
-        )
-
-    def observe(self, value: Hashable) -> Optional[DistributionShift]:
-        """Feed one value; returns a shift record when drift fires."""
-        self.observed += 1
-        self._recent.append(value)
-        if len(self._recent) < self.window:
-            return None
-        if self._reference is None:
-            self._reference = self._distribution(self._recent)
-            return None
-        distance = self.distance()
-        if distance <= self.threshold:
-            return None
-        shift = DistributionShift(
-            at_count=self.observed,
-            distance=distance,
-            reference={str(k): v for k, v in self._reference.items()},
-            current={
-                str(k): v
-                for k, v in self._distribution(self._recent).items()
-            },
-        )
-        self.shifts.append(shift)
-        self._reference = self._distribution(self._recent)
-        return shift
 
 
 def persistent_rules(rulesets: Sequence[RuleSet]) -> List[Rule]:

@@ -102,32 +102,6 @@ def process_type_value(process_label: FileLabel, executable_name: str) -> str:
     return f"{process_label.value}-process"
 
 
-def feature_values(
-    file_record,
-    proc_record,
-    process_label: FileLabel,
-    alexa_rank: Optional[int],
-) -> Tuple[str, ...]:
-    """The eight Table XV values from the raw ingredients, schema order.
-
-    Pure function shared by the batch :class:`FeatureExtractor` and the
-    streaming rule lifecycle (:mod:`repro.serve`), which builds vectors
-    event-by-event without a :class:`LabeledDataset` in hand.  Both paths
-    producing bytes-identical values is a precondition of the
-    streamed-vs-batch rule equivalence oracle.
-    """
-    return (
-        file_record.signer or UNSIGNED,
-        file_record.ca or NO_CA,
-        file_record.packer or UNPACKED,
-        proc_record.signer or UNSIGNED,
-        proc_record.ca or NO_CA,
-        proc_record.packer or UNPACKED,
-        process_type_value(process_label, proc_record.executable_name),
-        alexa_bin(alexa_rank),
-    )
-
-
 class FeatureExtractor:
     """Extracts Table XV feature vectors from a labeled dataset.
 
@@ -142,15 +116,22 @@ class FeatureExtractor:
 
     def extract(self, file_sha1: str, event: DownloadEvent) -> FeatureVector:
         """Feature vector of one file as downloaded by ``event``."""
-        files = self._labeled.dataset.files
-        processes = self._labeled.dataset.processes
+        file_record = self._labeled.dataset.files[file_sha1]
+        proc_record = self._labeled.dataset.processes[event.process_sha1]
+        process_label = self._labeled.process_labels[event.process_sha1]
         return FeatureVector(
             file_sha1=file_sha1,
-            values=feature_values(
-                files[file_sha1],
-                processes[event.process_sha1],
-                self._labeled.process_labels[event.process_sha1],
-                self._alexa.rank(event.e2ld),
+            values=(
+                file_record.signer or UNSIGNED,
+                file_record.ca or NO_CA,
+                file_record.packer or UNPACKED,
+                proc_record.signer or UNSIGNED,
+                proc_record.ca or NO_CA,
+                proc_record.packer or UNPACKED,
+                process_type_value(
+                    process_label, proc_record.executable_name
+                ),
+                alexa_bin(self._alexa.rank(event.e2ld)),
             ),
         )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .classifier import ConflictPolicy, Decision, RuleBasedClassifier
+from .classifier import Decision, RuleBasedClassifier
 from .dataset import CLASSES, Instance, TABLE_XV_SCHEMA
 from .part import PartLearner
 from .rules import RuleSet
@@ -33,8 +33,6 @@ class OnlineRuleClassifier:
         tau: float = 0.001,
         window_days: float = 30.0,
         retrain_interval_days: float = 30.0,
-        policy: ConflictPolicy = ConflictPolicy.REJECT,
-        min_coverage: int = 1,
     ) -> None:
         if window_days <= 0 or retrain_interval_days <= 0:
             raise ValueError("window and retrain interval must be positive")
@@ -42,9 +40,7 @@ class OnlineRuleClassifier:
         self.tau = tau
         self.window_days = window_days
         self.retrain_interval_days = retrain_interval_days
-        self.policy = policy
-        self.min_coverage = min_coverage
-        self._observations: List[Tuple[float, Optional[str], Instance]] = []
+        self._observations: List[Tuple[float, Instance]] = []
         self._classifier: Optional[RuleBasedClassifier] = None
         self._last_trained_at: Optional[float] = None
         self.retrain_count = 0
@@ -53,23 +49,8 @@ class OnlineRuleClassifier:
     # Data intake
     # ------------------------------------------------------------------
 
-    def observe(
-        self,
-        values: Sequence,
-        label: str,
-        timestamp: float,
-        sha1: Optional[str] = None,
-    ) -> None:
-        """Add one labeled observation (feature values + ground truth).
-
-        ``sha1`` optionally names the file the observation came from.
-        When given, retraining orders the window's instances by hash --
-        the same canonical order :meth:`TrainingSet.from_labeled` uses --
-        so a streamed replay reproduces batch
-        :func:`~repro.core.evaluation.learn_rules` exactly (PART's
-        separate-and-conquer loop is order-sensitive).  Without hashes,
-        arrival order is kept.
-        """
+    def observe(self, values: Sequence, label: str, timestamp: float) -> None:
+        """Add one labeled observation (feature values + ground truth)."""
         if label not in CLASSES:
             raise ValueError(f"unknown class label {label!r}")
         if self._observations and timestamp < self._observations[-1][0]:
@@ -78,7 +59,7 @@ class OnlineRuleClassifier:
                 f"({timestamp} after {self._observations[-1][0]})"
             )
         self._observations.append(
-            (timestamp, sha1, Instance(values=tuple(values), label=label))
+            (timestamp, Instance(values=tuple(values), label=label))
         )
 
     @property
@@ -90,36 +71,19 @@ class OnlineRuleClassifier:
     # Training
     # ------------------------------------------------------------------
 
-    def retrain(
-        self, now: float, window_days: Optional[float] = None
-    ) -> RuleSet:
+    def retrain(self, now: float) -> RuleSet:
         """Drop observations outside the window and relearn the rules.
 
-        ``window_days`` overrides the configured window for this one
-        retrain -- rolling *calendar-month* windows need it, since the
-        telemetry months are 28-31 days long (:data:`MONTH_STARTS`), not
-        a fixed 30.
+        The window's instances are fitted in arrival order.
         """
-        window = self.window_days if window_days is None else window_days
-        if window <= 0:
-            raise ValueError("window must be positive")
-        horizon = now - window
+        horizon = now - self.window_days
         self._observations = [
             entry for entry in self._observations if entry[0] >= horizon
         ]
-        # Stable sort: sha1-keyed observations take TrainingSet's
-        # canonical hash order; unkeyed ones (sha1=None -> "") keep
-        # their arrival order.
-        instances = [
-            entry[2]
-            for entry in sorted(
-                self._observations, key=lambda entry: entry[1] or ""
-            )
-        ]
         learner = PartLearner(self.schema)
-        rules = learner.fit(instances)
-        selected = rules.select(self.tau, min_coverage=self.min_coverage)
-        self._classifier = RuleBasedClassifier(selected, self.policy)
+        rules = learner.fit([instance for _, instance in self._observations])
+        selected = rules.select(self.tau)
+        self._classifier = RuleBasedClassifier(selected)
         self._last_trained_at = now
         self.retrain_count += 1
         return selected

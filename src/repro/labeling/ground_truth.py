@@ -184,26 +184,20 @@ class GroundTruthLabeler:
     # ------------------------------------------------------------------
 
     def label_hash(self, sha1: str) -> FileLabel:
-        """Label one file/process hash per the Section II-B policy."""
-        return self.label_hash_at(sha1, self._query_day)
+        """Label one file/process hash per the Section II-B policy.
 
-    def label_hash_at(self, sha1: str, day: float) -> FileLabel:
-        """Label a hash *as visible on* ``day`` (same Section II-B policy).
-
-        Labels mature: a hash can move from ``UNKNOWN`` (no report yet)
-        through ``LIKELY_MALICIOUS`` to ``MALICIOUS`` as engine
-        signatures become available, which is exactly the rescan-driven
-        label refresh the streaming service replays.  By construction
-        ``label_hash_at(sha1, self._query_day) == label_hash(sha1)``;
-        the report's scan span counts as report metadata (not clamped to
-        ``day``), keeping that identity exact.
+        The VT report is read as visible on the labeler's query day.
+        Labels mature: an earlier query day can see ``UNKNOWN`` (no
+        report yet) or ``LIKELY_MALICIOUS`` where a later one sees
+        ``MALICIOUS``.  The report's scan span counts as report
+        metadata and is not clamped to the query day.
         """
         if sha1 in self._whitelist:
             return FileLabel.BENIGN
-        report = self._vt.query(sha1, day)
+        report = self._vt.query(sha1, self._query_day)
         if report is None:
             return FileLabel.UNKNOWN
-        detections = report.detections_at(day)
+        detections = report.detections_at(self._query_day)
         if detections:
             if any(engine in TRUSTED_ENGINES for engine in detections):
                 return FileLabel.MALICIOUS
@@ -212,13 +206,12 @@ class GroundTruthLabeler:
             return FileLabel.BENIGN
         return FileLabel.LIKELY_BENIGN
 
-    def detections_of(self, sha1: str, day: Optional[float] = None) -> Dict[str, str]:
-        """Per-engine detections visible at ``day`` (default: query day)."""
-        day = self._query_day if day is None else day
-        report = self._vt.query(sha1, day)
+    def detections_of(self, sha1: str) -> Dict[str, str]:
+        """Per-engine detections visible on the query day."""
+        report = self._vt.query(sha1, self._query_day)
         if report is None:
             return {}
-        return report.detections_at(day)
+        return report.detections_at(self._query_day)
 
     def label_url(self, url: str) -> UrlLabel:
         """Label one download URL."""

@@ -139,7 +139,6 @@ class StreamOutcome:
     session: Session
     ingest: "object"
     load: "object"
-    lifecycle: Optional["object"]
     digest_match: bool
     merged_stats: "object"
 
@@ -151,8 +150,6 @@ def stream_session(
     agents: int = 4,
     serve_config=None,
     faults=None,
-    lifecycle: bool = False,
-    matured: bool = True,
     threaded: bool = False,
     rate_per_sec: Optional[float] = None,
     resume: bool = False,
@@ -164,28 +161,17 @@ def stream_session(
     Builds (or, with ``cache=True``, reuses) the batch session for the
     config, then replays its raw corpus through a
     :class:`repro.serve.LoadGenerator` agent fleet into an
-    :class:`repro.serve.IngestService` writing ``directory``.  With
-    ``lifecycle=True`` a :class:`repro.serve.RuleLifecycle` taps the
-    reported stream and retrains rules at every month boundary
-    (``matured=False`` switches its ground truth to rescan-refreshed
-    live labels).  The batch
+    :class:`repro.serve.IngestService` writing ``directory``.  The batch
     dataset is the oracle: ``digest_match`` and ``merged_stats`` let
     callers (the CLI, the serve bench, CI) assert equivalence without
     re-deriving anything.
     """
-    from .serve import IngestService, LoadGenerator, RuleLifecycle
+    from .serve import IngestService, LoadGenerator
 
     session = build_session(config, jobs=jobs, cache=cache)
     corpus = session.world.corpus
     files = corpus.file_records()
     processes = corpus.process_records()
-    rule_lifecycle = None
-    on_reported = None
-    if lifecycle:
-        rule_lifecycle = RuleLifecycle(
-            session.labeler, session.alexa, files, processes, matured=matured
-        )
-        on_reported = rule_lifecycle.observe_event
     with trace.span(
         "pipeline.stream_session", agents=agents, threaded=threaded
     ) as span:
@@ -196,7 +182,6 @@ def stream_session(
             config=serve_config,
             resume=resume,
             fault_hook=faults.make_fault_hook() if faults else None,
-            on_reported=on_reported,
         )
         generator = LoadGenerator(corpus.events, agents=agents, faults=faults)
         if threaded:
@@ -210,9 +195,6 @@ def stream_session(
             load_report = generator.run_inline(service)
             ingest_report = service._report
         span.set_attribute("reported", ingest_report.reported)
-    lifecycle_report = (
-        rule_lifecycle.finalize() if rule_lifecycle is not None else None
-    )
     merged = load_report.edge_stats + ingest_report.stats
     # Under shedding or an early stop the stream is legitimately lossy;
     # the oracle only claims equality for complete, lossless runs.
@@ -223,7 +205,6 @@ def stream_session(
         session=session,
         ingest=ingest_report,
         load=load_report,
-        lifecycle=lifecycle_report,
         digest_match=digest_match,
         merged_stats=merged,
     )

@@ -1,16 +1,14 @@
 """Streaming ingestion service (``repro serve``).
 
-Turns the batch-shaped pipeline (generate -> collect -> label -> learn)
+Turns the collection step of the batch pipeline (generate -> collect)
 into a long-running service: simulated agents push download events
-through a bounded-queue collector front-end into the dataset store,
-ground truth refreshes as VT rescans land, and rules retrain on rolling
-month windows.  The package's load-bearing guarantee is the
-*equivalence oracle*: whatever the batch size, flush interval, agent
-count, or injected fault schedule, the store committed by the streaming
-path is ``content_digest``-identical to batch
-:func:`repro.telemetry.collector.collect`, and the online classifier
-after a full replay matches batch
-:func:`repro.core.evaluation.learn_rules` on the same window.
+through a bounded-queue collector front-end into the dataset store.
+The package's load-bearing guarantee is the *equivalence oracle*:
+whatever the batch size, flush interval, agent count, or injected fault
+schedule, the store committed by the streaming path is
+``content_digest``-identical to batch
+:func:`repro.telemetry.collector.collect`.  Labels and rules for a
+streamed store come from the batch stages, as for any other store.
 
 Modules
 -------
@@ -22,14 +20,11 @@ Modules
     :class:`IngestService` -- the collector front-end + store writer.
 ``loadgen``
     :class:`LoadGenerator` -- per-machine agents with edge filters.
-``lifecycle``
-    :class:`RuleLifecycle` -- online labeling, retraining and drift.
 
 See ``docs/streaming_service.md`` for the architecture discussion.
 """
 
 from .faults import FaultSchedule, InjectedCrash
-from .lifecycle import LifecycleReport, RuleLifecycle
 from .loadgen import LoadGenerator, split_agent_streams
 from .queues import BoundedQueue, QueuePolicy
 from .service import IngestReport, IngestService, ServeConfig
@@ -40,10 +35,8 @@ __all__ = [
     "IngestReport",
     "IngestService",
     "InjectedCrash",
-    "LifecycleReport",
     "LoadGenerator",
     "QueuePolicy",
-    "RuleLifecycle",
     "ServeConfig",
     "split_agent_streams",
 ]

@@ -120,15 +120,11 @@ class IngestService:
         policy: Optional[ReportingPolicy] = None,
         resume: bool = False,
         fault_hook=None,
-        on_reported=None,
     ) -> None:
         self.config = config or ServeConfig()
         self.directory = Path(directory)
         self._files = files
         self._processes = processes
-        #: Called with every event the central filter accepts (resumed
-        #: replays included), in report order -- the rule lifecycle's tap.
-        self.on_reported = on_reported
         self.collector = CollectionServer(policy)
         self.session = open_append_session(
             self.directory,
@@ -182,8 +178,6 @@ class IngestService:
             return
         if not self.collector.submit(event, prefiltered=True):
             return
-        if self.on_reported is not None:
-            self.on_reported(event)
         if self._skip_reported > 0:
             # Already durable from the pre-crash run; the submit above
             # only rebuilt the prevalence filter's state.

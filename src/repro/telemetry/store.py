@@ -391,7 +391,7 @@ class AppendSession:
     ``fault_hook``, when given, is invoked with a stage string (e.g.
     ``"part_written:events-00002.jsonl"``) after each part lands but
     before its checkpoint commits; the fault-injection tests raise from
-    it to exercise the crash window.
+    it to exercise the crash window, or sleep in it to slow the writer.
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.dataset import BENIGN_CLASS, MALICIOUS_CLASS
+from repro.core.dataset import BENIGN_CLASS, Instance, MALICIOUS_CLASS
 from repro.core.online import OnlineRuleClassifier
+from repro.core.part import PartLearner
 
 SCHEMA = ("signer", "packer")
 
@@ -39,6 +40,15 @@ class TestLifecycle:
         online.classify(("somoto", "nsis"), now=40.0)
         assert online.retrain_count == 2
 
+    def test_due_exactly_at_the_interval(self):
+        online = OnlineRuleClassifier(SCHEMA, retrain_interval_days=30)
+        _feed(online, 10)
+        online.retrain(now=10.0)
+        online.classify(("somoto", "nsis"), now=39.999)
+        assert online.retrain_count == 1
+        online.classify(("somoto", "nsis"), now=40.0)
+        assert online.retrain_count == 2
+
     def test_window_drops_stale_observations(self):
         online = OnlineRuleClassifier(SCHEMA, window_days=10)
         _feed(online, 20, start_day=0.0)   # all around day 0-2
@@ -70,6 +80,30 @@ class TestLifecycle:
         assert online.classify(("evilcorp", "themida"), now=60.0).label == (
             MALICIOUS_CLASS
         )
+
+    def test_windowed_retrain_equals_direct_part_fit(self):
+        """A retrain is a plain PART fit of the in-window observations,
+        in arrival order."""
+        online = OnlineRuleClassifier(SCHEMA, tau=0.2, window_days=10)
+        _feed(online, 30, start_day=0.0)  # stale: 'somoto' malicious
+        window = [
+            (("evilcorp", "themida"), MALICIOUS_CLASS),
+            (("somoto", "nsis"), BENIGN_CLASS),
+            (("somoto", "upx"), MALICIOUS_CLASS),
+            (("teamviewer", "inno"), BENIGN_CLASS),
+        ] * 8
+        for index, (values, label) in enumerate(window):
+            online.observe(values, label, 100.0 + index * 0.1)
+        selected = online.retrain(now=104.0)
+        expected = (
+            PartLearner(SCHEMA)
+            .fit([Instance(values=values, label=label)
+                  for values, label in window])
+            .select(0.2)
+        )
+        assert online.observation_count == len(window)
+        assert len(selected) > 0
+        assert repr(list(selected)) == repr(list(expected))
 
     def test_empty_window_classifies_nothing(self):
         online = OnlineRuleClassifier(SCHEMA)

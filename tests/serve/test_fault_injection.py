@@ -97,9 +97,10 @@ class TestQueueBackpressure:
                 batch_max=8,
                 flush_interval=0.005,
             ),
-            # A deliberately slow consumer: the unpaced producer must
-            # overrun the 32-slot queue and shed, never block or deadlock.
-            on_reported=lambda event: time.sleep(0.0003),
+            # A deliberately slow writer (2.4 ms per 8-event part): the
+            # unpaced producer must overrun the 32-slot queue and shed,
+            # never block or deadlock.
+            fault_hook=lambda stage: time.sleep(0.0024),
         )
         service.start()
         load = LoadGenerator(events, agents=2).run_threaded(service)

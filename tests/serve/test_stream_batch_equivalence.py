@@ -3,27 +3,16 @@
 The headline guarantee of the serve subsystem: for any agent count,
 batch size and flush interval -- and across a mid-batch crash plus
 resume -- the store the streaming path commits is content-digest
-identical to what batch :func:`collect` produces, the merged edge +
-central filter stats equal single-site stats, and a full replay through
-the online rule lifecycle selects exactly the rules batch
-:func:`learn_rules` selects.
+identical to what batch :func:`collect` produces, and the merged edge +
+central filter stats equal single-site stats.
 """
 
 import pytest
 
-from repro import WorldConfig, build_session
-from repro.core.evaluation import learn_rules
+from repro import WorldConfig
 from repro.pipeline import stream_session
-from repro.serve import (
-    FaultSchedule,
-    IngestService,
-    InjectedCrash,
-    LoadGenerator,
-    RuleLifecycle,
-    ServeConfig,
-)
+from repro.serve import FaultSchedule, InjectedCrash, ServeConfig
 from repro.telemetry.collector import collect
-from repro.telemetry.events import MONTH_STARTS
 from repro.telemetry.store import load_dataset
 
 #: Same config as the shared ``small_session`` fixture, so the world and
@@ -120,27 +109,3 @@ def test_digest_independent_of_agent_count(tmp_path):
         )
         digests.add(outcome.ingest.content_digest)
     assert len(digests) == 1
-
-
-def test_lifecycle_replay_matches_batch_learn_rules(tmp_path):
-    session = build_session(CONFIG)
-    corpus = session.world.corpus
-    files = corpus.file_records()
-    processes = corpus.process_records()
-    lifecycle = RuleLifecycle(session.labeler, session.alexa, files, processes)
-    service = IngestService(
-        tmp_path / "store",
-        files,
-        processes,
-        on_reported=lifecycle.observe_event,
-    )
-    LoadGenerator(corpus.events, agents=4).run_inline(service)
-    report = lifecycle.finalize()
-    assert report.months_closed == len(MONTH_STARTS) - 1
-    assert report.observations > 0
-    for month, rules in lifecycle.monthly_rules:
-        batch_full, _ = learn_rules(session.labeled, session.alexa, month)
-        batch_rules = batch_full.select(0.001, min_coverage=1)
-        assert repr(list(rules)) == repr(list(batch_rules)), (
-            f"month {month}: online retrain diverged from batch learn_rules"
-        )

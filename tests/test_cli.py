@@ -27,6 +27,17 @@ class TestParser:
         assert args.train_month == 0
         assert args.tau == 0.001
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["bench", "--bench", "dataset_io", "--bench", "serve"],
+         ["dataset_io", "serve"]),
+        (["report", "--experiment", "table1", "fig5", "--experiment", "fig6"],
+         ["table1", "fig5", "fig6"]),
+        (["evaluate", "--tau", "0.0", "--tau", "0.01"], [0.0, 0.01]),
+    ])
+    def test_repeated_list_flag_keeps_every_value(self, argv, expected):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, argv[1].lstrip("-")) == expected
+
 
 class TestExportImport:
     def test_exports_corpus_and_labels(self, tmp_path, capsys):

@@ -9,7 +9,9 @@ the CLI no longer has fails here.
 
 Each fenced ``python`` block must parse, every ``from repro... import
 name`` in it must resolve, and so must every ``alias.attr`` where
-``alias`` names a module imported from ``repro``.
+``alias`` names a module imported from ``repro``.  A call to a function
+or class resolved that way must pass only keywords it accepts, unless
+it takes ``**kwargs``.
 """
 
 from __future__ import annotations
@@ -90,12 +92,32 @@ def _resolve(module: str, name: str):
     return importlib.import_module(f"{module}.{name}")
 
 
+def _rejected_keywords(callee, call: ast.Call) -> List[str]:
+    """Keywords of ``call`` that ``callee``'s signature does not accept."""
+    try:
+        parameters = inspect.signature(callee).parameters.values()
+    except (TypeError, ValueError):
+        return []
+    accepted = set()
+    for parameter in parameters:
+        if parameter.kind is parameter.VAR_KEYWORD:
+            return []
+        if parameter.kind is not parameter.POSITIONAL_ONLY:
+            accepted.add(parameter.name)
+    return [
+        keyword.arg for keyword in call.keywords
+        if keyword.arg is not None and keyword.arg not in accepted
+    ]
+
+
 def unresolved_imports(source: str) -> List[Tuple[int, str]]:
     """``(line, dotted name)`` of every ``repro`` name ``source`` uses
-    that does not exist."""
+    that does not exist, and ``(line, "name(keyword=)")`` of every
+    keyword a call passes to a ``repro`` callable that rejects it."""
     tree = ast.parse(source)
     stale: List[Tuple[int, str]] = []
     modules: Dict[str, object] = {}
+    callables: Dict[str, object] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and (
             (node.module or "").split(".")[0] == "repro"
@@ -108,6 +130,8 @@ def unresolved_imports(source: str) -> List[Tuple[int, str]]:
                     continue
                 if inspect.ismodule(value):
                     modules[alias.asname or alias.name] = value
+                elif callable(value):
+                    callables[alias.asname or alias.name] = value
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] != "repro":
@@ -127,6 +151,26 @@ def unresolved_imports(source: str) -> List[Tuple[int, str]]:
             and not hasattr(modules[node.value.id], node.attr)
         ):
             stale.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        function = node.func
+        if isinstance(function, ast.Name) and function.id in callables:
+            name, callee = function.id, callables[function.id]
+        elif (
+            isinstance(function, ast.Attribute)
+            and isinstance(function.value, ast.Name)
+            and function.value.id in modules
+            and hasattr(modules[function.value.id], function.attr)
+        ):
+            name = f"{function.value.id}.{function.attr}"
+            callee = getattr(modules[function.value.id], function.attr)
+        else:
+            continue
+        stale.extend(
+            (node.lineno, f"{name}({keyword}=)")
+            for keyword in _rejected_keywords(callee, node)
+        )
     return sorted(stale)
 
 
@@ -198,6 +242,7 @@ def test_import_check_flags_stale_names(tmp_path):
         "store.load_dataset(path)\n"
         "store.no_such_reader(path)\n"
         "st.no_such_writer(path)\n"
+        "st.load_dataset(path, strict=True, no_such_flag=1)\n"
         "```\n",
         encoding="utf-8",
     )
@@ -207,4 +252,5 @@ def test_import_check_flags_stale_names(tmp_path):
         (1, "repro.telemetry.no_such_name"),
         (4, "store.no_such_reader"),
         (5, "st.no_such_writer"),
+        (6, "st.load_dataset(no_such_flag=)"),
     ]

@@ -98,11 +98,14 @@ class TestEntryPaths:
     def test_report_text_identical_across_entry_paths(self, small_session,
                                                        tmp_path):
         """In-memory, imported-store and streamed-store sessions render
-        the same text for every ``report`` experiment."""
+        the same text for every ``report`` experiment and for Tables
+        XVI/XVII."""
         from repro.analysis.frame import clear_frame_cache
         from repro.cli import _EXPERIMENTS, _render
+        from repro.core.evaluation import clear_rule_cache, full_evaluation
         from repro.obs import metrics as obs_metrics
         from repro.pipeline import stream_session
+        from repro.reporting import render_table_xvi, render_table_xvii
 
         config = small_session.config
         save_dataset(small_session.dataset, tmp_path / "export")
@@ -114,15 +117,28 @@ class TestEntryPaths:
         ]
         builds = obs_metrics.counter("analysis.frame_build")
         before = builds.value
+        rule_hits = obs_metrics.counter("rules.cache_hits")
+        hits_before = rule_hits.value
         texts = []
+        tables = []
         for session in sessions:
-            # The frame memo is keyed by the labeled digest, which all
-            # three share: without the clear, one frame would serve all.
+            # The frame and rule memos are keyed by the labeled digest,
+            # which all three share: without the clears, one frame and
+            # one set of PART fits would serve all three.
             clear_frame_cache()
             texts.append(
                 "\n\n".join(_render(session, name) for name in _EXPERIMENTS)
             )
+            clear_rule_cache()
+            evaluation = full_evaluation(session.labeled, session.alexa)
+            tables.append(
+                render_table_xvi(evaluation) + "\n"
+                + render_table_xvii(evaluation)
+            )
         assert builds.value == before + 3
+        assert rule_hits.value == hits_before
         assert len(_EXPERIMENTS) == 23
         assert texts[1] == texts[0]
         assert texts[2] == texts[0]
+        assert tables[1] == tables[0]
+        assert tables[2] == tables[0]
