@@ -14,5 +14,5 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
     install_requires=["numpy>=1.21"],
-    python_requires=">=3.9",
+    python_requires=">=3.11",
 )

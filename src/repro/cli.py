@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="run the Tables XVI/XVII monthly evaluation"
     )
     _add_world_arguments(evaluate)
-    evaluate.add_argument("--tau", type=float, nargs="*", action="extend",
+    evaluate.add_argument("--tau", type=float, nargs="+", action="extend",
                           help="error thresholds (default: 0.0 0.001; "
                                "repeatable)")
     evaluate.add_argument("--out", help="optional output directory")

@@ -359,8 +359,11 @@ def full_evaluation(
     run (guarded by tests); spans and counters recorded inside workers
     ship home as :class:`repro.obs.worker.ObsPayload` envelopes and
     merge under the fan-out span, so ``--trace`` and the metrics
-    snapshot cover the whole fan-out.
+    snapshot cover the whole fan-out.  An empty ``taus`` raises
+    :class:`ValueError` before any rule set is learned.
     """
+    if not taus:
+        raise ValueError("full_evaluation needs at least one tau")
     months = (
         list(train_months) if train_months is not None
         else list(range(NUM_MONTHS - 1))

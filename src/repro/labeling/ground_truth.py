@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.events import DownloadEvent
@@ -192,19 +192,7 @@ class GroundTruthLabeler:
         ``MALICIOUS``.  The report's scan span counts as report
         metadata and is not clamped to the query day.
         """
-        if sha1 in self._whitelist:
-            return FileLabel.BENIGN
-        report = self._vt.query(sha1, self._query_day)
-        if report is None:
-            return FileLabel.UNKNOWN
-        detections = report.detections_at(self._query_day)
-        if detections:
-            if any(engine in TRUSTED_ENGINES for engine in detections):
-                return FileLabel.MALICIOUS
-            return FileLabel.LIKELY_MALICIOUS
-        if report.scan_span_days >= LIKELY_BENIGN_SPAN_DAYS:
-            return FileLabel.BENIGN
-        return FileLabel.LIKELY_BENIGN
+        return self._verdict(sha1)[0]
 
     def detections_of(self, sha1: str) -> Dict[str, str]:
         """Per-engine detections visible on the query day."""
@@ -212,6 +200,26 @@ class GroundTruthLabeler:
         if report is None:
             return {}
         return report.detections_at(self._query_day)
+
+    def _verdict(self, sha1: str) -> Tuple[FileLabel, Dict[str, str]]:
+        """``sha1``'s label and query-day detections, from one VT query.
+
+        A whitelisted hash is labeled without a query and reports no
+        detections.
+        """
+        if sha1 in self._whitelist:
+            return FileLabel.BENIGN, {}
+        report = self._vt.query(sha1, self._query_day)
+        if report is None:
+            return FileLabel.UNKNOWN, {}
+        detections = report.detections_at(self._query_day)
+        if detections:
+            if any(engine in TRUSTED_ENGINES for engine in detections):
+                return FileLabel.MALICIOUS, detections
+            return FileLabel.LIKELY_MALICIOUS, detections
+        if report.scan_span_days >= LIKELY_BENIGN_SPAN_DAYS:
+            return FileLabel.BENIGN, detections
+        return FileLabel.LIKELY_BENIGN, detections
 
     def label_url(self, url: str) -> UrlLabel:
         """Label one download URL."""
@@ -244,33 +252,34 @@ class GroundTruthLabeler:
         return labeled
 
     def _label_dataset(self, dataset: TelemetryDataset) -> LabeledDataset:
-        file_labels = {
-            sha1: self.label_hash(sha1) for sha1 in dataset.files
-        }
-        process_labels = {
-            sha1: self.label_hash(sha1) for sha1 in dataset.processes
-        }
-        url_labels = {url: self.label_url(url) for url in dataset.urls}
-
+        # One VT query per distinct hash; a malicious hash's type and
+        # family are extracted from that query's detections, which are
+        # then dropped with the report.  Types are extracted for files
+        # first, then for processes that are not also files, which fixes
+        # the order behind ``type_resolution_fractions``.
         extractor = TypeExtractor()
+        file_labels: Dict[str, FileLabel] = {}
         file_types: Dict[str, TypeExtraction] = {}
         file_families: Dict[str, Optional[str]] = {}
-        for sha1, label in file_labels.items():
-            if label != FileLabel.MALICIOUS:
-                continue
-            detections = self.detections_of(sha1)
-            file_types[sha1] = extractor.extract(detections)
-            file_families[sha1] = extract_family(detections)
+        for sha1 in dataset.files:
+            label, detections = self._verdict(sha1)
+            file_labels[sha1] = label
+            if label == FileLabel.MALICIOUS:
+                file_types[sha1] = extractor.extract(detections)
+                file_families[sha1] = extract_family(detections)
+        process_labels: Dict[str, FileLabel] = {}
         process_types: Dict[str, TypeExtraction] = {}
-        for sha1, label in process_labels.items():
-            if label != FileLabel.MALICIOUS:
-                continue
-            if sha1 in file_types:
-                process_types[sha1] = file_types[sha1]
+        for sha1 in dataset.processes:
+            if sha1 in file_labels:
+                label = file_labels[sha1]
+                if label == FileLabel.MALICIOUS:
+                    process_types[sha1] = file_types[sha1]
             else:
-                process_types[sha1] = extractor.extract(
-                    self.detections_of(sha1)
-                )
+                label, detections = self._verdict(sha1)
+                if label == FileLabel.MALICIOUS:
+                    process_types[sha1] = extractor.extract(detections)
+            process_labels[sha1] = label
+        url_labels = {url: self.label_url(url) for url in dataset.urls}
         return LabeledDataset(
             dataset=dataset,
             file_labels=file_labels,

@@ -14,9 +14,11 @@ process*:
   first/last-scan span encodes the 14-day "likely benign" rule; truly
   ``UNKNOWN`` files have no report at all.
 
-Reports are built lazily and deterministically: the per-file RNG is
-seeded from the service seed and the file hash, so repeated queries (and
-re-runs) agree.
+A report is a pure function of the service seed, the file hash and the
+file's first-seen day (the per-file RNG is seeded from the seed and the
+hash), so every query rebuilds an equal report and re-runs agree.  No
+report is cached: the labeler keeps each hash's verdict, type and family
+and drops the report.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ _CONFUSION_MIX = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class EngineDetection:
     """One engine's (eventual) detection of a file."""
 
@@ -86,7 +88,7 @@ class EngineDetection:
     available_from_day: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VTReport:
     """The full scan history of one file."""
 
@@ -110,7 +112,12 @@ class VTReport:
 
 
 class VirusTotalSimulator:
-    """Lazily materializes deterministic VT reports for synthetic files."""
+    """Builds deterministic VT reports for synthetic files, one per query.
+
+    Nothing is cached: a repeated :meth:`query` rebuilds an equal report,
+    so the simulator holds no more memory after labeling a corpus than
+    before it.
+    """
 
     def __init__(
         self,
@@ -124,7 +131,6 @@ class VirusTotalSimulator:
         self._files = files
         self._seed = seed
         self._first_seen = first_seen or {}
-        self._cache: Dict[str, Optional[VTReport]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -138,12 +144,8 @@ class VirusTotalSimulator:
         ``detections_at(day)`` gives the detections whose signatures exist
         by the query day.
         """
-        if sha1 in self._cache:
-            report = self._cache[sha1]
-        else:
-            file = self._files.get(sha1)
-            report = self._build_report(file) if file is not None else None
-            self._cache[sha1] = report
+        file = self._files.get(sha1)
+        report = self._build_report(file) if file is not None else None
         if report is None or report.first_scan_day > day:
             return None
         return report

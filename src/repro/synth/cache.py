@@ -17,7 +17,12 @@ Two layers:
   pointing the ``REPRO_WORLD_CACHE`` environment variable at a directory.
 
 Both layers key on the same digest, so a cache hit is indistinguishable
-from regeneration (verified by the determinism tests).
+from regeneration (verified by the determinism tests).  A disk entry's
+name also carries :data:`WORLD_LAYOUT`, a tag of the row classes'
+instance layout: a pickle written while those classes had another
+layout (say, before they were slotted) would unpickle into wrong field
+values without an error, so it must be a miss.  The layout is not part
+of the config digest, which committed artifacts record.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..obs import metrics as obs_metrics
+from ..telemetry.events import DownloadEvent, FileRecord, ProcessRecord
+from .entities import (
+    BenignProcess,
+    SyntheticDomain,
+    SyntheticFile,
+    SyntheticMachine,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .world import World, WorldConfig
@@ -45,6 +57,27 @@ GENERATOR_VERSION = "engine-v2"
 CACHE_DIR_ENV = "REPRO_WORLD_CACHE"
 
 _MEMORY: Dict[str, "World"] = {}
+
+
+def _layout_tag() -> str:
+    """Short digest of the instance layout of the classes a world holds
+    by the tens of thousands: their fields, and their slots if any."""
+    layout = [
+        (
+            cls.__qualname__,
+            tuple(field.name for field in dataclasses.fields(cls)),
+            getattr(cls, "__slots__", None),
+        )
+        for cls in (
+            DownloadEvent, FileRecord, ProcessRecord, SyntheticFile,
+            SyntheticMachine, BenignProcess, SyntheticDomain,
+        )
+    ]
+    return hashlib.sha256(repr(layout).encode("utf-8")).hexdigest()[:12]
+
+
+#: Layout tag in every on-disk entry's name (see the module docstring).
+WORLD_LAYOUT = _layout_tag()
 
 
 def config_digest(config: "WorldConfig") -> str:
@@ -67,7 +100,7 @@ def _disk_path(digest: str) -> Optional[Path]:
     directory = cache_dir()
     if directory is None:
         return None
-    return directory / f"world-{digest}.pkl"
+    return directory / f"world-{digest}-{WORLD_LAYOUT}.pkl"
 
 
 def _disk_load(digest: str) -> Optional["World"]:

@@ -18,7 +18,7 @@ from ..labeling.labels import Browser, FileLabel, MalwareType, ProcessCategory
 from ..telemetry.events import FileRecord, ProcessRecord
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SyntheticFile:
     """A downloadable software file in the synthetic world."""
 
@@ -77,7 +77,7 @@ class SyntheticFile:
         return self.target_prevalence - self.realized_prevalence
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BenignProcess:
     """A pre-existing benign client process version (Table X ecosystem)."""
 
@@ -100,7 +100,7 @@ class BenignProcess:
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SyntheticDomain:
     """A download domain with its reputation context."""
 
@@ -118,7 +118,7 @@ class SyntheticDomain:
             raise ValueError(f"domain {self.name} has invalid rank")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SyntheticMachine:
     """A monitored customer machine."""
 

@@ -106,7 +106,7 @@ def domain_of_url(url: str) -> str:
     return (parsed.hostname or "").lower()
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class FileRecord:
     """Static attributes of a downloaded file as reported by the agent.
 
@@ -134,7 +134,7 @@ class FileRecord:
         return self.packer is not None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ProcessRecord:
     """Static attributes of a downloading process (identified by hash)."""
 
@@ -150,7 +150,7 @@ class ProcessRecord:
         return self.signer is not None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class DownloadEvent:
     """One web-based software download event: the paper's 5-tuple.
 

@@ -100,6 +100,19 @@ class TestFullEvaluation:
     def test_runs_at_unknown_tau_empty(self, evaluation):
         assert evaluation.runs_at(0.5) == []
 
+    def test_empty_taus_rejected_before_any_fit(self, medium_session,
+                                                monkeypatch):
+        from repro.core import evaluation as evaluation_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a rule set was learned")
+
+        monkeypatch.setattr(evaluation_mod, "learn_rules", no_fit)
+        with pytest.raises(ValueError, match="at least one tau"):
+            full_evaluation(
+                medium_session.labeled, medium_session.alexa, taus=()
+            )
+
 
 class TestLatentValidation:
     def test_rule_labels_agree_with_latent_truth(self, medium_session, one_pair):

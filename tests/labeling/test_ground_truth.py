@@ -1,11 +1,17 @@
 """Tests for the labeling policy and the LabeledDataset container."""
 
+import gc
 from collections import Counter
 
 import pytest
 
-from repro.labeling.ground_truth import LIKELY_BENIGN_SPAN_DAYS, label_world
+from repro.labeling.ground_truth import (
+    LIKELY_BENIGN_SPAN_DAYS,
+    build_labeler,
+    label_world,
+)
 from repro.labeling.labels import FileLabel, UrlLabel
+from repro.labeling.virustotal import VirusTotalSimulator, VTReport
 
 
 class TestPolicyOnWorld:
@@ -52,6 +58,43 @@ class TestPolicyOnWorld:
         assert counts[UrlLabel.BENIGN] > 0
         assert counts[UrlLabel.MALICIOUS] > 0
         assert counts[UrlLabel.UNKNOWN] > 0
+
+
+class TestReportLifetime:
+    """A VT report lives only while its hash's verdict is derived."""
+
+    def test_no_report_reachable_after_build_session(self, small_session):
+        gc.collect()
+        shas = small_session.dataset.files
+        kept = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, VTReport) and obj.sha1 in shas
+        ]
+        assert kept == []
+
+    def test_one_report_per_unwhitelisted_hash(self, small_session,
+                                               monkeypatch):
+        built = Counter()
+        build_report = VirusTotalSimulator._build_report
+
+        def counting(simulator, file):
+            built[file.sha1] += 1
+            return build_report(simulator, file)
+
+        monkeypatch.setattr(VirusTotalSimulator, "_build_report", counting)
+        labeler = build_labeler(small_session.world, small_session.dataset)
+        labeled = labeler.label_dataset(small_session.dataset)
+        dataset = small_session.dataset
+        hashes = set(dataset.files) | set(dataset.processes)
+        assert set(built) == {
+            sha for sha in hashes if sha not in labeler._whitelist
+        }
+        assert set(built.values()) == {1}
+        assert labeled.file_labels == small_session.labeled.file_labels
+        assert labeled.file_types == small_session.labeled.file_types
+        assert labeled.type_resolution_fractions == (
+            small_session.labeled.type_resolution_fractions
+        )
 
 
 class TestLabeledDatasetAccessors:

@@ -136,7 +136,8 @@ class TestCacheCounters:
         registry = metrics.get_registry()
         registry.reset()
         digest = world_cache.config_digest(config)
-        (tmp_path / f"world-{digest}.pkl").write_bytes(b"not a pickle")
+        name = f"world-{digest}-{world_cache.WORLD_LAYOUT}.pkl"
+        (tmp_path / name).write_bytes(b"not a pickle")
         get_world(config)
         assert registry.counter("cache.corrupt").value == 1
         # The corrupt entry degraded to a miss and was regenerated.

@@ -8,6 +8,8 @@ cache-hit vs cache-miss paths.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.obs import trace
@@ -201,7 +203,10 @@ class TestWorldCache:
         monkeypatch.setenv(world_cache.CACHE_DIR_ENV, str(tmp_path))
         clear_world_cache()
         cold = _dataset_digest(get_world(_CONFIG))          # miss -> store
-        assert list(tmp_path.glob("world-*.pkl"))
+        digest = config_digest(_CONFIG)
+        assert [path.name for path in tmp_path.glob("world-*.pkl")] == [
+            f"world-{digest}-{world_cache.WORLD_LAYOUT}.pkl"
+        ]
         clear_world_cache()                                 # drop memory
         warm = _dataset_digest(get_world(_CONFIG))          # disk hit
         uncached = _dataset_digest(get_world(_CONFIG, cache=False))
@@ -213,8 +218,32 @@ class TestWorldCache:
         monkeypatch.setenv(world_cache.CACHE_DIR_ENV, str(tmp_path))
         clear_world_cache()
         digest = config_digest(_CONFIG)
-        (tmp_path / f"world-{digest}.pkl").write_bytes(b"not a pickle")
+        name = f"world-{digest}-{world_cache.WORLD_LAYOUT}.pkl"
+        (tmp_path / name).write_bytes(b"not a pickle")
         world = get_world(_CONFIG)
         assert _dataset_digest(world) == _dataset_digest(
             get_world(_CONFIG, cache=False)
         )
+        # Regeneration overwrote the corrupt entry under the same name.
+        stored = pickle.loads((tmp_path / name).read_bytes())
+        assert _dataset_digest(stored) == _dataset_digest(world)
+
+    def test_entry_named_by_digest_alone_is_a_miss(self, tmp_path,
+                                                  monkeypatch):
+        # Disk entries named by the config digest alone predate the
+        # layout tag; one written under another class layout would
+        # unpickle into wrong field values without an error.
+        monkeypatch.setenv(world_cache.CACHE_DIR_ENV, str(tmp_path))
+        clear_world_cache()
+        digest = config_digest(_CONFIG)
+        (tmp_path / f"world-{digest}.pkl").write_bytes(
+            pickle.dumps({"not": "a world"})
+        )
+        world = get_world(_CONFIG)
+        assert isinstance(world, World)
+        assert _dataset_digest(world) == _dataset_digest(
+            get_world(_CONFIG, cache=False)
+        )
+        assert (
+            tmp_path / f"world-{digest}-{world_cache.WORLD_LAYOUT}.pkl"
+        ).is_file()

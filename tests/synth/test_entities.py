@@ -1,5 +1,7 @@
 """Validation tests for the synthetic entity dataclasses."""
 
+import pickle
+
 import pytest
 
 from repro.labeling.labels import Browser, FileLabel, MalwareType
@@ -103,3 +105,52 @@ class TestBenignProcess:
         )
         assert process.record.executable_name == "chrome.exe"
         assert process.record.packer is None
+
+
+def _domain():
+    return SyntheticDomain(
+        name="softonic.com", category="file_hosting", alexa_rank=180,
+        popularity_weight=2.5, url_benign=True,
+    )
+
+
+def _machine():
+    return SyntheticMachine(
+        machine_id="M1", profile="casual",
+        start_day=5.0, end_day=35.0, browser=Browser.CHROME,
+    )
+
+
+def _process():
+    return BenignProcess(
+        sha1="b" * 40, executable_name="chrome.exe",
+        category=ProcessCategory.BROWSER, browser=Browser.CHROME,
+        signer="Google Inc", ca="verisign class 3 code signing 2010 ca",
+    )
+
+
+_ENTITIES = [_file, _domain, _machine, _process]
+
+
+class TestSlottedEntities:
+    """A world holds these entities by the tens of thousands, so they
+    carry no per-instance ``__dict__``; worlds and shards pickle them."""
+
+    @pytest.mark.parametrize("make", _ENTITIES, ids=lambda f: f.__name__)
+    def test_no_instance_dict(self, make):
+        entity = make()
+        assert not hasattr(entity, "__dict__")
+
+    @pytest.mark.parametrize("make", _ENTITIES, ids=lambda f: f.__name__)
+    def test_pickle_round_trip(self, make):
+        entity = make()
+        restored = pickle.loads(pickle.dumps(entity, pickle.HIGHEST_PROTOCOL))
+        assert restored == entity
+        assert repr(restored) == repr(entity)
+
+    def test_repr_keeps_field_order(self):
+        assert repr(_machine()) == (
+            "SyntheticMachine(machine_id='M1', profile='casual', "
+            "start_day=5.0, end_day=35.0, browser=<Browser.CHROME: "
+            "'chrome'>)"
+        )

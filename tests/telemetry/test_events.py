@@ -1,5 +1,7 @@
 """Unit tests for the telemetry data model."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.telemetry.events import (
     effective_2ld,
     month_of,
 )
+from repro.telemetry.dataset import file_digest_line
 
 
 class TestMonthOf:
@@ -106,3 +109,42 @@ class TestRecords:
         assert event.domain == "dl.mirror.softonic.com"
         assert event.e2ld == "softonic.com"
         assert event.executed
+
+
+class TestSlottedRows:
+    """A world holds these rows by the tens of thousands, so they carry
+    no per-instance ``__dict__``; the ``jobs>1`` shard path pickles
+    them, and dataset digests are built from their ``repr``."""
+
+    ROWS = [
+        DownloadEvent("a" * 40, "M1", "b" * 40, "http://dl.example.com/x.exe",
+                      12.5),
+        FileRecord("a" * 40, "setup.exe", 50_000, signer="Somoto Ltd.",
+                   packer="NSIS"),
+        ProcessRecord("b" * 40, "chrome.exe", signer="Google Inc"),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: type(row).__name__)
+    def test_no_instance_dict(self, row):
+        assert not hasattr(row, "__dict__")
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: type(row).__name__)
+    def test_pickle_round_trip(self, row):
+        restored = pickle.loads(pickle.dumps(row, pickle.HIGHEST_PROTOCOL))
+        assert restored == row
+        assert repr(restored) == repr(row)
+
+    def test_repr_keeps_field_order(self):
+        assert repr(self.ROWS[0]) == (
+            "DownloadEvent(file_sha1='" + "a" * 40 + "', machine_id='M1', "
+            "process_sha1='" + "b" * 40 + "', "
+            "url='http://dl.example.com/x.exe', timestamp=12.5, "
+            "executed=True)"
+        )
+
+    def test_file_digest_line_pinned(self):
+        assert file_digest_line(self.ROWS[1]) == (
+            b"FFileRecord(sha1='" + b"a" * 40 + b"', file_name='setup.exe', "
+            b"size_bytes=50000, signer='Somoto Ltd.', ca=None, "
+            b"packer='NSIS')\n"
+        )

@@ -38,6 +38,15 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert getattr(args, argv[1].lstrip("-")) == expected
 
+    def test_bare_evaluate_tau_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["evaluate", "--tau"])
+        assert exit_info.value.code == 2
+        assert "--tau" in capsys.readouterr().err
+
+    def test_evaluate_tau_defaults_to_none(self):
+        assert build_parser().parse_args(["evaluate"]).tau is None
+
 
 class TestExportImport:
     def test_exports_corpus_and_labels(self, tmp_path, capsys):
