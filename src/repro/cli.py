@@ -58,7 +58,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from . import reporting, sched
+from . import reporting
 from .core.evaluation import DEFAULT_TAUS, full_evaluation, learn_rules
 from .obs import manifest as obs_manifest
 from .obs import metrics as obs_metrics
@@ -68,6 +68,7 @@ from .obs import trace as obs_trace
 from .pipeline import Session, build_session
 from .synth.world import WorldConfig
 from .telemetry import store as telemetry_store
+from .telemetry.events import NUM_MONTHS
 
 #: Experiment name -> renderer taking (labeled) or (labeled, alexa), in
 #: the order ``report`` prints them: the paper's tables, its figures,
@@ -101,7 +102,37 @@ _EXPERIMENTS: Dict[str, str] = {
 _NEEDS_ALEXA = {"fig3", "fig6"}
 
 
-def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _p_floor(text: str) -> float:
+    """argparse type: a p-value floor in (0, 1]; at or below 0 every
+    fidelity target would pass."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
+def _month(text: str) -> int:
+    """argparse type: a 0-based collection month."""
+    value = int(text)
+    if not 0 <= value < NUM_MONTHS:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, {NUM_MONTHS - 1}], got {text}"
+        )
+    return value
+
+
+def _add_world_arguments(parser: argparse.ArgumentParser,
+                         cache: bool = True) -> None:
+    """The world flags; ``cache=False`` omits ``--no-cache`` for commands
+    that never read the world cache."""
     parser.add_argument("--seed", type=int, default=7,
                         help="world seed (default 7)")
     parser.add_argument("--scale", type=float, default=0.01,
@@ -110,21 +141,10 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=8,
                         help="deterministic generation shards; part of the "
                              "world's identity (default 8)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for generation (and, for "
-                             "`evaluate`, the parallel month-pair fan-out); "
-                             "default: one per CPU core. Never affects the "
-                             "generated world or the evaluation rows")
-    parser.add_argument("--memory-budget-mb", type=float, default=None,
-                        metavar="MB",
-                        help="process-tree RSS budget for every worker "
-                             "fan-out in this run; the orchestrator halves "
-                             "its in-flight window instead of OOMing when "
-                             "the budget is exceeded (never changes any "
-                             "output)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the world/session cache and always "
-                             "regenerate")
+    if cache:
+        parser.add_argument("--no-cache", action="store_true",
+                            help="bypass the world/session cache and always "
+                                 "regenerate")
     parser.add_argument("--trace", action="store_true",
                         help="record tracing spans and print the span tree "
                              "after the run")
@@ -159,7 +179,6 @@ def _export_observability(args: argparse.Namespace,
         manifest = obs_manifest.build_manifest(
             command=args.command,
             config=_world_config(args),
-            jobs=getattr(args, "jobs", None),
             wall_seconds=wall_seconds,
         )
         manifest_path = manifest.write(
@@ -184,7 +203,7 @@ def _session(args: argparse.Namespace) -> Session:
         f"scale={config.scale}, shards={config.shards}) ...",
         file=sys.stderr,
     )
-    return build_session(config, jobs=args.jobs, cache=not args.no_cache)
+    return build_session(config, cache=not args.no_cache)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -342,7 +361,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     evaluation = full_evaluation(
         session.labeled, session.alexa,
         taus=DEFAULT_TAUS if args.tau is None else tuple(args.tau),
-        jobs=args.jobs,
     )
     xvi = reporting.render_table_xvi(evaluation)
     xvii = reporting.render_table_xvii(evaluation)
@@ -362,17 +380,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """End-to-end pipeline run: generate, collect, label, learn, evaluate.
 
     The observability showcase: with ``--trace`` the printed span tree
-    covers every stage — including the shard-generation and month-pair
-    pool fan-outs, whose worker spans merge back under ``worker=N`` —
-    and with ``--metrics-out`` the metrics snapshot and run manifest
-    land next to each other.
+    covers every stage — every generation shard and every month pair
+    included — and with ``--metrics-out`` the metrics snapshot and run
+    manifest land next to each other.
     """
     session = _session(args)
     rules, training = learn_rules(session.labeled, session.alexa,
                                   args.train_month)
     selected = rules.select(args.tau)
     evaluation = full_evaluation(
-        session.labeled, session.alexa, taus=(args.tau,), jobs=args.jobs,
+        session.labeled, session.alexa, taus=(args.tau,),
     )
     labels = session.labeled.label_counts()
     print(f"events reported:  {len(session.dataset.events)}")
@@ -411,8 +428,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         base_seed=args.seed,
         shards=args.shards,
-        jobs=args.jobs,
-        cache=not args.no_cache,
         p_floor=args.p_floor,
         quantile=args.quantile,
     )
@@ -430,17 +445,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"# run: {len(session.dataset.events)} events, "
           f"{len(session.dataset.files)} files, {len(rules)} rules")
     print("\n# metrics")
-    # Scheduling health must be visible even at zero: a silent fallback
-    # to sequential execution was exactly the bug this counter fixes.
-    obs_metrics.counter(
-        "sched.fallback_sequential",
-        "Stages that degraded to in-process execution because a process "
-        "pool could not be created",
-    )
-    obs_metrics.counter(
-        "sched.degradations",
-        "In-flight window halvings under memory pressure",
-    )
     snapshot = obs_metrics.get_registry().snapshot()
     for name, value in sorted(snapshot["counters"].items()):
         print(f"{name:<40s} {value:g}")
@@ -567,7 +571,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             threaded=not args.inline,
             rate_per_sec=args.rate,
             resume=args.resume,
-            jobs=args.jobs,
             cache=not args.no_cache,
         )
     except InjectedCrash as exc:
@@ -677,9 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rules", help="learn and print classification rules for one month"
     )
     _add_world_arguments(rules)
-    rules.add_argument("--train-month", type=int, default=0,
+    rules.add_argument("--train-month", type=_month, default=0,
                        help="0-based training month (default 0 = January)")
-    rules.add_argument("--tau", type=float, default=0.001,
+    rules.add_argument("--tau", type=_fraction, default=0.001,
                        help="max rule training error rate (default 0.001)")
     rules.add_argument("--min-coverage", type=int, default=1,
                        help="min training coverage per rule (default 1)")
@@ -689,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="run the Tables XVI/XVII monthly evaluation"
     )
     _add_world_arguments(evaluate)
-    evaluate.add_argument("--tau", type=float, nargs="+", action="extend",
+    evaluate.add_argument("--tau", type=_fraction, nargs="+", action="extend",
                           help="error thresholds (default: 0.0 0.001; "
                                "repeatable)")
     evaluate.add_argument("--out", help="optional output directory")
@@ -701,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
              "learn); pairs with --trace/--metrics-out",
     )
     _add_world_arguments(run)
-    run.add_argument("--train-month", type=int, default=0,
+    run.add_argument("--train-month", type=_month, default=0,
                      help="0-based training month (default 0 = January)")
-    run.add_argument("--tau", type=float, default=0.001,
+    run.add_argument("--tau", type=_fraction, default=0.001,
                      help="max rule training error rate (default 0.001)")
     run.set_defaults(func=_cmd_run)
 
@@ -712,18 +715,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="statistical fidelity gate: sweep seeds, test every "
              "calibration target, exit non-zero on failure",
     )
-    _add_world_arguments(validate)
+    _add_world_arguments(validate, cache=False)
     validate.add_argument("--seeds", type=int, default=3,
                           help="number of consecutive seeds to sweep, "
                                "starting at --seed (default 3)")
     validate.add_argument("--report-out", metavar="PATH",
                           help="write the machine-readable fidelity report "
                                "(JSON) here")
-    validate.add_argument("--p-floor", type=float, default=0.01,
+    validate.add_argument("--p-floor", type=_p_floor, default=0.01,
                           help="per-seed p-value floor below which a target "
                                "must fall back on its effect tolerance "
                                "(default 0.01)")
-    validate.add_argument("--quantile", type=float, default=0.5,
+    validate.add_argument("--quantile", type=_fraction, default=0.5,
                           help="sweep aggregation quantile (default 0.5 = "
                                "median across seeds)")
     validate.set_defaults(func=_cmd_validate)
@@ -734,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
              "snapshot",
     )
     _add_world_arguments(stats)
-    stats.add_argument("--train-month", type=int, default=0,
+    stats.add_argument("--train-month", type=_month, default=0,
                        help="0-based training month (default 0 = January)")
     stats.set_defaults(func=_cmd_stats, trace=True)
 
@@ -844,11 +847,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         obs_trace.enable()
     if track_resources:
         obs_resources.enable()
-    budget_mb = getattr(args, "memory_budget_mb", None)
-    previous_budget = None
-    if budget_mb is not None:
-        # The previous ceiling may itself be None: restore on budget_mb.
-        previous_budget = sched.set_memory_budget(budget_mb)
     start = time.perf_counter()
     try:
         status = args.func(args)
@@ -860,8 +858,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args, wall_seconds=time.perf_counter() - start
             )
     finally:
-        if budget_mb is not None:
-            sched.set_memory_budget(previous_budget)
         if track_resources:
             obs_resources.disable()
         if tracing:

@@ -20,9 +20,9 @@ Performance shape (this is the pipeline's batch-scoring hot path):
 * classification runs through the columnar fast path of
   :mod:`repro.core.columnar` (interned features, compiled rule masks,
   row dedup) -- the scalar walk stays as the reference implementation;
-* the six ``(T_tr, T_ts)`` experiments are independent, so
-  :func:`full_evaluation` hands them to the run orchestrator, which runs
-  them on ``jobs`` workers; every ``jobs`` value produces identical rows;
+* :func:`full_evaluation` runs the six ``(T_tr, T_ts)`` experiments one
+  after another in the calling process, which already holds the labeled
+  dataset every pair reads;
 * :func:`learn_rules` memoizes learned rule lists by the content digest
   of ``(labeled, alexa, month)``, so tau sweeps and ablation benches
   stop re-learning identical rule lists.
@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import sched
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.whitelists import AlexaService
 from ..obs import metrics as obs_metrics
@@ -129,8 +128,13 @@ def learn_rules(
     ``alexa`` plus the month, so repeated calls (tau sweeps, ablations,
     every benchmark sharing one session) pay for PART once.  The memo is
     cleared by :func:`clear_rule_cache` /
-    :func:`repro.pipeline.clear_all_caches`.
+    :func:`repro.pipeline.clear_all_caches`.  A ``month`` outside the
+    collection window raises :class:`ValueError`.
     """
+    if not 0 <= month < NUM_MONTHS:
+        raise ValueError(
+            f"month must be in [0, {NUM_MONTHS - 1}], got {month}"
+        )
     key = (labeled.content_digest(), alexa.content_digest(), month)
     with trace.span("core.learn_rules", month=MONTH_NAMES[month]) as span:
         cached = _RULE_MEMO.get(key)
@@ -153,6 +157,11 @@ def learn_rules(
         return _memo_copies((rules, training))
 
 
+def _check_train_month(month: int) -> None:
+    if not 0 <= month < NUM_MONTHS - 1:
+        raise ValueError(f"train month {month} has no following test month")
+
+
 def evaluate_month_pair(
     labeled: LabeledDataset,
     alexa: AlexaService,
@@ -160,17 +169,9 @@ def evaluate_month_pair(
     taus: Sequence[float] = DEFAULT_TAUS,
     policy: ConflictPolicy = ConflictPolicy.REJECT,
 ) -> List[MonthlyEvaluation]:
-    """Run the Section VI-D experiment for one consecutive month pair.
-
-    The ``core.evaluate_month_pair`` span lives here so sequential runs
-    and pool workers produce the same tree shape; worker-recorded spans
-    come home via :mod:`repro.obs.worker`.
-    """
+    """Run the Section VI-D experiment for one consecutive month pair."""
+    _check_train_month(train_month)
     test_month = train_month + 1
-    if test_month >= NUM_MONTHS:
-        raise ValueError(
-            f"train month {train_month} has no following test month"
-        )
     with trace.span(
         "core.evaluate_month_pair",
         train_month=MONTH_NAMES[train_month],
@@ -346,53 +347,30 @@ def full_evaluation(
     taus: Sequence[float] = DEFAULT_TAUS,
     policy: ConflictPolicy = ConflictPolicy.REJECT,
     train_months: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = 1,
 ) -> FullEvaluation:
-    """Run every consecutive month pair (Jan-Feb ... Jun-Jul).
+    """Run every consecutive month pair (Jan-Feb ... Jun-Jul) in order.
 
-    The month pairs are independent experiments, handed to the run
-    orchestrator (:mod:`repro.sched`) as one task each: ``jobs > 1``
-    fans them out over its process pool (``None`` means one worker per
-    core), the same pattern as the generation engine in
-    :mod:`repro.synth.engine`.  Runs are returned in month order
-    whatever ``jobs`` is, and the rows are identical to a sequential
-    run (guarded by tests); spans and counters recorded inside workers
-    ship home as :class:`repro.obs.worker.ObsPayload` envelopes and
-    merge under the fan-out span, so ``--trace`` and the metrics
-    snapshot cover the whole fan-out.  An empty ``taus`` raises
-    :class:`ValueError` before any rule set is learned.
+    An empty ``taus``, a tau outside ``[0, 1]`` or a training month
+    without a following test month raises :class:`ValueError` before
+    any rule set is learned.
     """
     if not taus:
         raise ValueError("full_evaluation needs at least one tau")
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau must be in [0, 1], got {tau}")
     months = (
         list(train_months) if train_months is not None
         else list(range(NUM_MONTHS - 1))
     )
-    orchestrator = sched.Orchestrator("core.month_pairs", jobs=jobs)
+    for month in months:
+        _check_train_month(month)
     runs: List[MonthlyEvaluation] = []
-    with trace.span(
-        "core.full_evaluation",
-        months=len(months),
-        jobs=orchestrator.resolve_workers(len(months)),
-    ) as fan:
-        outcome = orchestrator.run(
-            [
-                sched.TaskSpec(
-                    fn=evaluate_month_pair,
-                    args=(labeled, alexa, month, taus, policy),
-                    tag=month,
-                )
-                for month in months
-            ],
-            parent_span=fan,
-        )
-        if outcome.parallel:
-            obs_metrics.counter(
-                "eval.month_pairs_parallel",
-                "Month-pair experiments evaluated via the process pool",
-            ).inc(len(months))
-        for result in outcome.results:
-            runs.extend(result)
+    with trace.span("core.full_evaluation", months=len(months)):
+        for month in months:
+            runs.extend(
+                evaluate_month_pair(labeled, alexa, month, taus, policy)
+            )
     return FullEvaluation(runs=runs)
 
 

@@ -4,14 +4,9 @@ Dependency-free building blocks, all stdlib + ``/proc``:
 
 * :mod:`repro.obs.trace` -- hierarchical wall-time spans (context
   manager + decorator API, thread-safe, no-op when disabled) with JSON
-  and pretty-tree exporters, plus :func:`repro.obs.trace.merge_remote`
-  to graft span trees recorded in worker processes;
+  and pretty-tree exporters;
 * :mod:`repro.obs.metrics` -- a process-wide registry of counters,
-  gauges and histograms, exportable as JSON or Prometheus text, with
-  :func:`repro.obs.metrics.merge_remote` to fold in worker snapshots;
-* :mod:`repro.obs.worker` -- the cross-process envelope
-  (:class:`~repro.obs.worker.ObsPayload`) every pool task returns so
-  the parent's ``--trace`` tree and counters cover the whole fan-out;
+  gauges and histograms, exportable as JSON or Prometheus text;
 * :mod:`repro.obs.resources` -- opt-in per-span RSS/CPU/GC accounting
   read from ``/proc/self`` and ``getrusage`` (``--resources``);
 * :mod:`repro.obs.profile` -- a sampling profiler with collapsed-stack
@@ -30,17 +25,14 @@ world (see ``tests/obs/test_instrumentation.py``).  The full story is
 in ``docs/observability.md``.
 """
 
-from . import manifest, metrics, profile, regress, resources, trace, worker
+from . import manifest, metrics, profile, regress, resources, trace
 from .manifest import RunManifest, build_manifest, load_manifest
 from .metrics import MetricsRegistry, get_registry
 from .profile import SamplingProfiler
 from .trace import Span, Tracer, get_tracer
-from .worker import ObsConfig, ObsPayload
 
 __all__ = [
     "MetricsRegistry",
-    "ObsConfig",
-    "ObsPayload",
     "RunManifest",
     "SamplingProfiler",
     "Span",
@@ -55,5 +47,4 @@ __all__ = [
     "regress",
     "resources",
     "trace",
-    "worker",
 ]

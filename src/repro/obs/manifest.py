@@ -2,8 +2,8 @@
 
 A :class:`RunManifest` is the provenance record written alongside every
 metrics/trace export: the exact world config (and its content digest),
-execution knobs (jobs), the code identity (git revision, package and
-interpreter versions), wall time, the metrics snapshot and the recorded
+the code identity (git revision, package and interpreter versions),
+wall time, the metrics snapshot and the recorded
 span trees.  Two runs with equal ``config_digest`` produced bit-identical
 worlds -- the manifest is what lets BENCH_*.json numbers, traces and
 exported corpora be traced back to the run that made them.
@@ -89,7 +89,6 @@ class RunManifest:
     created_at: str
     config: Dict[str, Any]
     config_digest: Optional[str]
-    jobs: Optional[int]
     git_rev: Optional[str]
     versions: Dict[str, str]
     wall_seconds: float
@@ -102,7 +101,11 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunManifest":
-        """Rebuild a manifest from :meth:`to_dict` output."""
+        """Rebuild a manifest from :meth:`to_dict` output.
+
+        Keys the class does not declare are ignored, so manifests that
+        carry a field since removed still load.
+        """
         fields = {field.name for field in dataclasses.fields(cls)}
         return cls(**{key: payload[key] for key in fields})
 
@@ -120,7 +123,6 @@ class RunManifest:
 def build_manifest(
     command: str,
     config: Optional[Any] = None,
-    jobs: Optional[int] = None,
     wall_seconds: float = 0.0,
     registry: Optional[_metrics.MetricsRegistry] = None,
     tracer: Optional[_trace.Tracer] = None,
@@ -145,7 +147,6 @@ def build_manifest(
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
         config=config_dict,
         config_digest=digest,
-        jobs=jobs,
         git_rev=git_revision(),
         versions=_versions(),
         wall_seconds=wall_seconds,

@@ -33,7 +33,6 @@ __all__ = [
     "gauge",
     "get_registry",
     "histogram",
-    "merge_remote",
 ]
 
 #: Default histogram bucket upper bounds, in seconds (tuned for stage
@@ -180,31 +179,6 @@ class Histogram:
             },
         }
 
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one.
-
-        Count, sum and matching bucket bounds add; min/max widen.  Used
-        to absorb worker-process observations (both sides instantiate
-        the histogram from the same code, so bounds normally match;
-        non-matching bounds are dropped -- count/sum stay exact).
-        """
-        buckets = snap.get("buckets") or {}
-        with self._lock:
-            self._count += snap["count"]
-            self._sum += snap["sum"]
-            if snap["min"] is not None:
-                self._min = (
-                    snap["min"] if self._min is None
-                    else min(self._min, snap["min"])
-                )
-            if snap["max"] is not None:
-                self._max = (
-                    snap["max"] if self._max is None
-                    else max(self._max, snap["max"])
-                )
-            for index, bound in enumerate(self.buckets):
-                self._bucket_counts[index] += int(buckets.get(str(bound), 0))
-
 
 class MetricsRegistry:
     """Named instruments with get-or-create semantics.
@@ -264,29 +238,6 @@ class MetricsRegistry:
         """Forget every instrument (fresh registry)."""
         with self._lock:
             self._metrics.clear()
-
-    # ------------------------------------------------------------------
-    # Cross-process merge
-    # ------------------------------------------------------------------
-
-    def merge_remote(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a remote registry :meth:`snapshot` into this registry.
-
-        Merge semantics by instrument kind: **counters sum** (a worker's
-        increments count as if they had happened here), **histograms
-        merge** observation-for-observation (count/sum/buckets add,
-        min/max widen), and **gauges take the max** of local and remote
-        -- a gauge is a level, not a flow, and the interesting level
-        across a worker fleet (peak RSS, queue depth) is the high-water
-        mark.  Instruments unknown locally are created on the fly.
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).inc(value)
-        for name, value in (snapshot.get("gauges") or {}).items():
-            gauge = self.gauge(name)
-            gauge.set(max(gauge.value, value))
-        for name, snap in (snapshot.get("histograms") or {}).items():
-            self.histogram(name).merge_snapshot(snap)
 
     # ------------------------------------------------------------------
     # Export
@@ -366,8 +317,3 @@ def histogram(
 ) -> Histogram:
     """Get or create a histogram on the default registry."""
     return _REGISTRY.histogram(name, description, buckets)
-
-
-def merge_remote(snapshot: Dict[str, Dict[str, Any]]) -> None:
-    """Fold a remote registry snapshot into the default registry."""
-    _REGISTRY.merge_remote(snapshot)

@@ -21,8 +21,7 @@ any other subcommand under the profiler, prints the top table to stderr
 and, with ``--out``, writes the collapsed stacks to ``PATH``.
 
 By default only the thread that called :meth:`start` is sampled (the
-pipeline is single-threaded per process; worker *processes* are invisible
-to in-process sampling -- profile them with ``--jobs 1``).  Pass
+pipeline runs every stage on one thread of one process).  Pass
 ``all_threads=True`` to sample every interpreter thread.
 """
 

@@ -131,7 +131,7 @@ def _bench_world_generation(scale: float) -> BenchResult:
     from ..synth.world import World, WorldConfig
 
     config = WorldConfig(seed=3, scale=scale)
-    wall, dataset = _measure(lambda: World(config, jobs=1).collect())
+    wall, dataset = _measure(lambda: World(config).collect())
     events = len(dataset.events)
     return BenchResult(
         name="world_generation",

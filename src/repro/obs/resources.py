@@ -49,7 +49,6 @@ from . import metrics as _metrics
 __all__ = [
     "ResourceSample",
     "begin_span",
-    "children_pids",
     "cpu_seconds",
     "disable",
     "enable",
@@ -59,7 +58,6 @@ __all__ = [
     "reset_peak_rss",
     "rss_kb",
     "sample",
-    "tree_rss_kb",
 ]
 
 _ENABLED = False
@@ -145,34 +143,6 @@ def peak_rss_kb() -> float:
     except (OSError, IndexError, ValueError):
         pass
     return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-def children_pids() -> list:
-    """PIDs of this process's direct children (``/proc`` children list)."""
-    pid = os.getpid()
-    try:
-        with open(f"/proc/self/task/{pid}/children", "rb") as handle:
-            return [int(child) for child in handle.read().split()]
-    except (OSError, ValueError):
-        return []
-
-
-def tree_rss_kb() -> float:
-    """Resident set of this process plus its direct children, in KiB.
-
-    The orchestrator's memory budget must see pool workers, not just
-    the parent: a fork worker's copy-on-write pages diverge as it
-    simulates, and the parent's own RSS barely moves.  Children that
-    exit between the listing and the read are simply skipped.
-    """
-    total = rss_kb()
-    for pid in children_pids():
-        try:
-            with open(f"/proc/{pid}/statm", "rb") as handle:
-                total += int(handle.read().split()[1]) * _PAGE_KB
-        except (OSError, IndexError, ValueError):
-            continue
-    return total
 
 
 def cpu_seconds() -> tuple:

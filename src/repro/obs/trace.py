@@ -25,13 +25,7 @@ Usage::
 Exporters: :func:`to_dicts` (JSON-ready span trees) and
 :func:`render_tree` (pretty indented tree with durations and
 attributes).  :func:`reset` drops recorded spans between runs.
-
-Cross-process runs (the generation and evaluation pools) ship their
-finished span trees back to the parent as :meth:`Span.to_dict` payloads;
-:func:`merge_remote` rebuilds them and grafts them under the parent's
-fan-out span, tagged with the worker that produced them (see
-:mod:`repro.obs.worker`).  With :mod:`repro.obs.resources` enabled,
-every recorded span additionally carries resource attributes (RSS
+With :mod:`repro.obs.resources` enabled, every recorded span additionally carries resource attributes (RSS
 delta, peak RSS, CPU time, GC pauses) sampled at span entry and exit.
 """
 
@@ -54,7 +48,6 @@ __all__ = [
     "enabled",
     "finished_spans",
     "get_tracer",
-    "merge_remote",
     "render_tree",
     "reset",
     "span",
@@ -99,26 +92,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.iter()
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Span":
-        """Rebuild a span tree from :meth:`to_dict` output.
-
-        Absolute monotonic timestamps are meaningless across processes,
-        so the rebuilt span keeps only the recorded duration
-        (``start=0``, ``end=duration``).
-        """
-        span = cls(
-            name=payload["name"],
-            attributes=dict(payload.get("attributes") or {}),
-            start=0.0,
-            end=float(payload.get("duration") or 0.0),
-            error=payload.get("error"),
-        )
-        span.children = [
-            cls.from_dict(child) for child in payload.get("children") or ()
-        ]
-        return span
 
 
 class _NoopSpan:
@@ -286,41 +259,6 @@ class Tracer:
                 self._finished.append(span)
 
     # ------------------------------------------------------------------
-    # Cross-process merge
-    # ------------------------------------------------------------------
-
-    def merge_remote(
-        self,
-        spans: List[Dict[str, Any]],
-        parent: Optional[Span] = None,
-        worker: Optional[Any] = None,
-    ) -> List[Span]:
-        """Graft span trees recorded in another process into this tracer.
-
-        ``spans`` is a list of :meth:`Span.to_dict` payloads (what
-        :class:`repro.obs.worker.ObsPayload` carries home).  Each tree is
-        rebuilt, tagged ``worker=<worker>`` on its root (unless the root
-        already carries a ``worker`` attribute), and attached as a child
-        of ``parent`` -- typically the fan-out span that submitted the
-        work.  Without a parent the trees land as finished roots.  No-op
-        while the tracer is disabled.  Returns the grafted roots.
-        """
-        if not self._enabled or not spans:
-            return []
-        grafted: List[Span] = []
-        for payload in spans:
-            root = Span.from_dict(payload)
-            if worker is not None:
-                root.attributes.setdefault("worker", worker)
-            grafted.append(root)
-        if isinstance(parent, Span):
-            parent.children.extend(grafted)
-        else:
-            with self._lock:
-                self._finished.extend(grafted)
-        return grafted
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
@@ -411,15 +349,6 @@ def enabled() -> bool:
 def reset() -> None:
     """Drop everything the default tracer has recorded."""
     _TRACER.reset()
-
-
-def merge_remote(
-    spans: List[Dict[str, Any]],
-    parent: Optional[Span] = None,
-    worker: Optional[Any] = None,
-) -> List[Span]:
-    """Graft remote span trees into the default tracer."""
-    return _TRACER.merge_remote(spans, parent=parent, worker=worker)
 
 
 def finished_spans() -> List[Span]:

@@ -8,8 +8,7 @@ feature).  :func:`build_session` bundles them.
 Sessions are cached per interpreter (keyed by the world config's content
 digest, see :mod:`repro.synth.cache`): repeat calls with an identical
 config return the same :class:`Session` object instead of regenerating
-and relabeling the world.  Pass ``cache=False`` to force a fresh build,
-and ``jobs`` to control generation parallelism on a cache miss.
+and relabeling the world.  Pass ``cache=False`` to force a fresh build.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class Session:
 
 def build_session(
     config: Optional[WorldConfig] = None,
-    jobs: Optional[int] = None,
     cache: bool = True,
     dataset_dir: Optional[Union[str, Path]] = None,
 ) -> Session:
@@ -99,7 +97,7 @@ def build_session(
                 span.set_attribute("session_cache", "hit")
                 return session
         with trace.span("pipeline.generate"):
-            world = get_world(config, jobs=jobs, cache=cache)
+            world = get_world(config, cache=cache)
         if dataset_dir is not None:
             dataset = telemetry_store.load_dataset(dataset_dir)
         else:
@@ -153,7 +151,6 @@ def stream_session(
     threaded: bool = False,
     rate_per_sec: Optional[float] = None,
     resume: bool = False,
-    jobs: Optional[int] = None,
     cache: bool = True,
 ) -> StreamOutcome:
     """Run the streaming ingestion path for one config, end to end.
@@ -168,7 +165,7 @@ def stream_session(
     """
     from .serve import IngestService, LoadGenerator
 
-    session = build_session(config, jobs=jobs, cache=cache)
+    session = build_session(config, cache=cache)
     corpus = session.world.corpus
     files = corpus.file_records()
     processes = corpus.process_records()

@@ -129,21 +129,6 @@ class BoundedQueue:
     # Lifecycle / introspection
     # ------------------------------------------------------------------
 
-    def resize(self, capacity: int) -> None:
-        """Change the capacity of a live queue.
-
-        Shrinking never drops queued items -- it only stops admitting new
-        ones until the consumer drains below the new capacity.  This is
-        how the run orchestrator (:mod:`repro.sched`) degrades its
-        in-flight window under memory pressure; growing wakes any
-        blocked producers.
-        """
-        if capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        with self._lock:
-            self.capacity = capacity
-            self._not_full.notify_all()
-
     def close(self) -> None:
         """Stop accepting puts; pending items remain drainable."""
         with self._lock:

@@ -1,11 +1,11 @@
 """Content-addressed world cache.
 
-Worlds are pure functions of their :class:`~repro.synth.world.WorldConfig`
-(generation parallelism never changes the output), so they can be cached
-by a digest of the config.  The digest also folds in a **code-version
-salt**: bump :data:`GENERATOR_VERSION` whenever a change to the synthetic
-generators intentionally alters the produced corpus, and every stale
-entry -- in memory or on disk -- is invalidated at once.
+Worlds are pure functions of their :class:`~repro.synth.world.WorldConfig`,
+so they can be cached by a digest of the config.  The digest also folds
+in a **code-version salt**: bump :data:`GENERATOR_VERSION` whenever a
+change to the synthetic generators intentionally alters the produced
+corpus, and every stale entry -- in memory or on disk -- is invalidated
+at once.
 
 Two layers:
 
@@ -22,7 +22,10 @@ name also carries :data:`WORLD_LAYOUT`, a tag of the row classes'
 instance layout: a pickle written while those classes had another
 layout (say, before they were slotted) would unpickle into wrong field
 values without an error, so it must be a miss.  The layout is not part
-of the config digest, which committed artifacts record.
+of the config digest, which committed artifacts record.  An entry is
+served only if it unpickles to a :class:`~repro.synth.world.World` of
+the requested config; anything else is counted in ``cache.corrupt``,
+regenerated and overwritten.
 """
 
 from __future__ import annotations
@@ -103,20 +106,25 @@ def _disk_path(digest: str) -> Optional[Path]:
     return directory / f"world-{digest}-{WORLD_LAYOUT}.pkl"
 
 
-def _disk_load(digest: str) -> Optional["World"]:
+def _disk_load(config: "WorldConfig", digest: str) -> Optional["World"]:
+    from .world import World  # runtime import: world imports engine/cache
+
     path = _disk_path(digest)
     if path is None or not path.is_file():
         return None
     try:
         with open(path, "rb") as handle:
-            return pickle.load(handle)
+            world = pickle.load(handle)
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        # A truncated or stale entry is treated as a miss; regeneration
-        # will overwrite it.
-        obs_metrics.counter(
-            "cache.corrupt", "Unreadable on-disk world-cache entries"
-        ).inc()
-        return None
+        world = None
+    if isinstance(world, World) and world.config == config:
+        return world
+    # A truncated, stale or foreign entry is treated as a miss;
+    # regeneration will overwrite it.
+    obs_metrics.counter(
+        "cache.corrupt", "Unusable on-disk world-cache entries"
+    ).inc()
+    return None
 
 
 def _disk_store(digest: str, world: "World") -> None:
@@ -142,11 +150,7 @@ def _disk_store(digest: str, world: "World") -> None:
         return
 
 
-def get_world(
-    config: "WorldConfig",
-    jobs: Optional[int] = None,
-    cache: bool = True,
-) -> "World":
+def get_world(config: "WorldConfig", cache: bool = True) -> "World":
     """Return the world for ``config``, generating it on a cache miss.
 
     ``cache=False`` bypasses both layers -- no lookup, no store -- and
@@ -159,7 +163,7 @@ def get_world(
         obs_metrics.counter(
             "cache.bypasses", "get_world calls with caching disabled"
         ).inc()
-        return World(config, jobs=jobs)
+        return World(config)
     digest = config_digest(config)
     world = _MEMORY.get(digest)
     if world is not None:
@@ -168,7 +172,7 @@ def get_world(
             "cache.memory_hits", "World-cache hits served from memory"
         ).inc()
         return world
-    world = _disk_load(digest)
+    world = _disk_load(config, digest)
     if world is not None:
         obs_metrics.counter("cache.hits", "World-cache hits (any layer)").inc()
         obs_metrics.counter(
@@ -178,7 +182,7 @@ def get_world(
         obs_metrics.counter(
             "cache.misses", "World-cache misses (world regenerated)"
         ).inc()
-        world = World(config, jobs=jobs)
+        world = World(config)
         _disk_store(digest, world)
     _MEMORY[digest] = world
     return world

@@ -1,4 +1,4 @@
-"""Sharded parallel world generation with a deterministic merge.
+"""Sharded world generation with a deterministic merge.
 
 The machine population is partitioned into ``config.shards`` contiguous
 shards.  Every shard simulates independently -- its own
@@ -12,28 +12,21 @@ Shard outputs are merged deterministically: events via a timestamp-sorted
 k-way merge (stable in shard order for ties), file tables and
 spawned-process sets by disjoint union in shard order.  The resulting
 :class:`~repro.synth.simulator.RawCorpus` is **bit-identical for a given
-``(seed, scale, shards)`` triple** regardless of how many worker
-processes executed the shards: ``jobs`` is purely an execution knob.
+``(seed, scale, shards)`` triple**.
 
-Execution: the shards go to the run orchestrator (:mod:`repro.sched`),
-which decides how many run at once -- in-process for ``jobs=1``,
-otherwise on its fork-preferring process pool under the memory ceiling
-and the in-flight backpressure.  On platforms without ``fork`` the
-workers rebuild the (cheap) ecosystem context once per process from the
-config; if process pools are unavailable altogether (sandboxes), the
-orchestrator runs the shards in-process -- same output, counted in
-``sched.fallback_sequential``.
+The shards run one after another in the calling process.  ``shards``
+still fixes the partition and the RNG stream layout, so it is part of
+every world's identity and config digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 import numpy as np
 
-from .. import sched
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..telemetry.collector import merge_sorted_streams
@@ -117,8 +110,8 @@ def build_context(config: "WorldConfig") -> WorldContext:
 def plan_shards(machine_count: int, shards: int) -> List[Tuple[int, int]]:
     """Balanced contiguous ``[start, stop)`` machine slices, one per shard.
 
-    The plan depends only on ``(machine_count, shards)`` so the partition
-    -- and therefore the generated world -- is independent of ``jobs``.
+    The plan depends only on ``(machine_count, shards)``, so the partition
+    -- and therefore the generated world -- is a function of the config.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -147,13 +140,7 @@ def _shard_seed(config: "WorldConfig", shard_index: int) -> np.random.SeedSequen
 def simulate_shard(
     context: WorldContext, config: "WorldConfig", shard_index: int
 ) -> ShardResult:
-    """Run one shard's simulation against the shared context.
-
-    The ``synth.shard`` span lives *here* -- not at the call sites -- so
-    sequential runs, pool workers and the degraded fallback all produce
-    the same tree shape; worker-recorded shard spans come home via
-    :mod:`repro.obs.worker` and graft under the fan-out span.
-    """
+    """Run one shard's simulation against the shared context."""
     if not 0 <= shard_index < config.shards:
         raise ValueError(
             f"shard_index {shard_index} outside [0, {config.shards})"
@@ -232,80 +219,27 @@ def merge_shards(
     )
 
 
-# ----------------------------------------------------------------------
-# Worker plumbing
-# ----------------------------------------------------------------------
+def generate_world(config: "WorldConfig") -> Tuple[WorldContext, RawCorpus]:
+    """Build the shared context, simulate the shards in order, merge.
 
-#: Per-process context memo.  In the parent it is populated before the
-#: pool is created, so fork-started workers inherit the built context;
-#: spawn-started workers rebuild it once on first use.
-_CONTEXT_CACHE: Dict[Tuple[object, ...], WorldContext] = {}
-
-
-def _context_key(config: "WorldConfig") -> Tuple[object, ...]:
-    return dataclasses.astuple(config)
-
-
-def _worker_context(config: "WorldConfig") -> WorldContext:
-    key = _context_key(config)
-    context = _CONTEXT_CACHE.get(key)
-    if context is None:
-        context = build_context(config)
-        _CONTEXT_CACHE[key] = context
-    return context
-
-
-def _shard_worker(config: "WorldConfig", shard_index: int) -> ShardResult:
-    """Orchestrator entry point: simulate one shard."""
-    return simulate_shard(_worker_context(config), config, shard_index)
-
-
-def generate_world(
-    config: "WorldConfig", jobs: Optional[int] = None
-) -> Tuple[WorldContext, RawCorpus]:
-    """Build the shared context, simulate all shards, merge.
-
-    Returns ``(context, corpus)``.  The corpus is bit-identical for a
-    given ``(seed, scale, shards)`` triple whatever ``jobs`` is.
-    Instrumentation (spans, counters) reads clocks only -- it never
-    touches RNG state, so tracing cannot perturb the corpus.
+    Returns ``(context, corpus)``.  Instrumentation (spans, counters)
+    reads clocks only -- it never touches RNG state, so tracing cannot
+    perturb the corpus.
     """
-    orchestrator = sched.Orchestrator("synth.shards", jobs=jobs)
-    workers = orchestrator.resolve_workers(config.shards)
     with trace.span(
         "synth.generate_world",
         seed=config.seed,
         scale=config.scale,
         shards=config.shards,
-        jobs=workers,
     ) as root:
-        key = _context_key(config)
-        context = _CONTEXT_CACHE.get(key)
-        if context is None:
-            with trace.span("synth.build_context") as ctx_span:
-                context = build_context(config)
-                ctx_span.set_attribute("machines", len(context.machines))
-            _CONTEXT_CACHE[key] = context
-        try:
-            # Workers record their own shard spans and counters; the
-            # orchestrator grafts the ObsPayloads they return under this
-            # fan-out span (roots tagged worker=N) so --trace shows one
-            # complete tree and summed counters match jobs=1.
-            with trace.span("synth.simulate_shards", workers=workers) as fan:
-                results = orchestrator.run(
-                    [
-                        sched.TaskSpec(
-                            fn=_shard_worker, args=(config, index), tag=index
-                        )
-                        for index in range(config.shards)
-                    ],
-                    parent_span=fan,
-                ).results
-        finally:
-            # The memo exists to hand workers a pre-built context (via fork)
-            # and to dedupe rebuilds inside one worker process; the parent
-            # should not keep whole worlds alive across generate calls.
-            _CONTEXT_CACHE.pop(key, None)
+        with trace.span("synth.build_context") as ctx_span:
+            context = build_context(config)
+            ctx_span.set_attribute("machines", len(context.machines))
+        with trace.span("synth.simulate_shards"):
+            results = [
+                simulate_shard(context, config, index)
+                for index in range(config.shards)
+            ]
         with trace.span("synth.merge_shards") as merge_span:
             corpus = merge_shards(context, config, results)
             merge_span.set_attribute("events", len(corpus.events))
@@ -320,5 +254,3 @@ def generate_world(
         ).inc(config.shards)
         root.set_attribute("events", len(corpus.events))
     return context, corpus
-
-

@@ -56,7 +56,7 @@ class NameFactory:
     collisions are rare and retried.
 
     ``counter_start`` offsets the structural hash counter so that several
-    factories (one per generation shard) can mint hashes concurrently
+    factories (one per generation shard) can mint hashes independently
     without any cross-shard coordination: shard ``i`` passes a distinct
     multiple of ``2**40``, which partitions the 64-bit counter space.
     """

@@ -4,7 +4,7 @@
 whole world reproducible, ``scale`` multiplies the paper's full-corpus
 volumes (1.14M machines / 3.07M events at ``scale=1.0``; values above
 1.0 oversample the paper for stress workloads), and ``shards`` fixes the
-deterministic partition used by the parallel generation engine
+deterministic partition the generation engine simulates
 (:mod:`repro.synth.engine`).
 
 Typical use::
@@ -17,8 +17,8 @@ Typical use::
 the analyses consume; ``world`` retains the raw corpus, latent truth and
 filter statistics.
 
-Generation parallelism (``jobs``) and caching never change the produced
-world: the corpus is a pure function of the config.
+Caching never changes the produced world: the corpus is a pure function
+of the config.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class WorldConfig:
     and labeling results depend on that assumption.
 
     ``shards`` is part of the world's identity: the same ``(seed, scale,
-    shards)`` triple always yields the bit-identical corpus, however many
-    worker processes generate it.
+    shards)`` triple always yields the bit-identical corpus.
     """
 
     seed: int = 7
@@ -78,15 +77,20 @@ class WorldConfig:
 class World:
     """A fully built synthetic world with its generated corpus.
 
-    ``jobs`` controls how many worker processes simulate the shards; it
-    is an execution knob only and does not affect the generated world.
+    Generation runs in the calling process.  ``jobs`` accepts only 1: it
+    remains because the benchmark harness (``perfbench/rep.py``) builds
+    worlds as ``World(config, jobs=1)`` and that harness is only edited
+    together with the benchmark definition.  Drop the keyword with the
+    next benchmark change.
     """
 
-    def __init__(
-        self, config: WorldConfig, jobs: Optional[int] = None
-    ) -> None:
+    def __init__(self, config: WorldConfig, jobs: int = 1) -> None:
+        if jobs != 1:
+            raise ValueError(
+                f"worlds are generated in-process; jobs must be 1, got {jobs}"
+            )
         self.config = config
-        context, corpus = engine.generate_world(config, jobs=jobs)
+        context, corpus = engine.generate_world(config)
         self.signers = context.signers
         self.packers = context.packers
         self.domains = context.domains
@@ -115,17 +119,15 @@ class World:
         return self._dataset
 
 
-def generate_corpus(
-    config: Optional[WorldConfig] = None, jobs: Optional[int] = None
-) -> RawCorpus:
+def generate_corpus(config: Optional[WorldConfig] = None) -> RawCorpus:
     """Build a world and return only its raw (pre-filter) corpus."""
-    return World(config or WorldConfig(), jobs=jobs).corpus
+    return World(config or WorldConfig()).corpus
 
 
 def generate_dataset(
-    config: Optional[WorldConfig] = None, jobs: Optional[int] = None
+    config: Optional[WorldConfig] = None,
 ) -> Tuple[TelemetryDataset, World]:
     """Build a world, apply reporting filters, return (dataset, world)."""
-    world = World(config or WorldConfig(), jobs=jobs)
+    world = World(config or WorldConfig())
     dataset = world.collect()
     return dataset, world

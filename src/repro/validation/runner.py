@@ -8,6 +8,9 @@ evaluates every calibration target on each, and aggregates with a
 quantile rule (default: median of per-seed p-values/effects) so the
 verdict is deterministic-in-expectation -- re-running the same sweep
 always returns the identical report, and no single seed can flip it.
+The seeds run one after another, and each seed's session is built
+uncached and dropped once its targets are scored, so a sweep holds one
+world at a time.
 
 The sweep reports through :mod:`repro.obs`: per-target spans
 (``validate.session``/``validate.target``), pass/fail/skip counters and
@@ -18,9 +21,8 @@ manifest the CLI writes next to the report.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .. import sched
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..synth.cache import GENERATOR_VERSION
@@ -31,26 +33,21 @@ from .targets import DEFAULT_P_FLOOR, TargetSpec, evaluate_session
 __all__ = ["run_seed_sweep", "sweep_configs"]
 
 
-def _sweep_seed_worker(
+def _score_seed(
     config: WorldConfig,
-    jobs: Optional[int],
-    cache: bool,
     p_floor: float,
     specs: Optional[Tuple[TargetSpec, ...]],
 ) -> List[TargetResult]:
-    """Orchestrator entry point: build and score one seed's world.
+    """Build one seed's session uncached and score it on the targets.
 
-    Runs in a pool worker when the sweep is parallel (each seed then
-    generates its shards with ``jobs=1`` -- no nested pools) and
-    in-process when it is not.  Either way the returned
-    :class:`TargetResult` list is a pure function of ``config``, which
-    is what keeps the aggregated report byte-identical whatever the
-    execution mode.
+    The session is neither memoized nor returned, so it is garbage once
+    this returns, before the next seed's world is generated.
     """
     from ..pipeline import build_session  # lazy: pipeline imports us
 
-    session = build_session(config, jobs=jobs, cache=cache)
+    session = build_session(config, cache=False)
     return evaluate_session(session, p_floor=p_floor, specs=specs)
+
 
 #: Default aggregation quantile (median).
 DEFAULT_QUANTILE = 0.5
@@ -80,22 +77,22 @@ def run_seed_sweep(
     base_seed: int = 7,
     sigma: int = 20,
     shards: int = 8,
-    jobs: Optional[int] = None,
-    cache: bool = True,
     p_floor: float = DEFAULT_P_FLOOR,
     quantile: float = DEFAULT_QUANTILE,
     specs: Optional[Tuple[TargetSpec, ...]] = None,
 ) -> FidelityReport:
     """Generate ``seeds`` worlds and gate their marginals on the targets.
 
-    ``jobs`` and ``cache`` are execution knobs and never change the
-    report: worlds are pure functions of their configs and evaluation
-    is deterministic.  With ``jobs > 1`` the *seeds* fan out over the
-    run orchestrator (:mod:`repro.sched`) -- one worker per seed, each
-    generating its shards sequentially -- which is the right axis to
-    parallelise a sweep on: seeds are fully independent, month pairs
-    and shards within one seed are not.
+    The report is a pure function of the arguments: worlds are pure
+    functions of their configs and evaluation is deterministic.  A
+    ``p_floor`` outside ``(0, 1]`` (at or below zero every target
+    passes) or a ``quantile`` outside ``[0, 1]`` raises
+    :class:`ValueError` before any world is built.
     """
+    if not 0.0 < p_floor <= 1.0:
+        raise ValueError(f"p_floor must be in (0, 1], got {p_floor}")
+    if not 0.0 <= quantile <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {quantile}")
     configs = sweep_configs(
         scale=scale, seeds=seeds, base_seed=base_seed, sigma=sigma,
         shards=shards,
@@ -104,23 +101,7 @@ def run_seed_sweep(
         "validate.sweep", scale=scale, seeds=seeds, base_seed=base_seed
     ) as span:
         start = time.perf_counter()
-        orchestrator = sched.Orchestrator("validate.seeds", jobs=jobs)
-        seed_workers = orchestrator.resolve_workers(len(configs))
-        # Pool workers generate with jobs=1 (no nested pools); the
-        # in-process path keeps the caller's jobs for shard fan-out.
-        inner_jobs = 1 if seed_workers > 1 else jobs
-        outcome = orchestrator.run(
-            [
-                sched.TaskSpec(
-                    fn=_sweep_seed_worker,
-                    args=(config, inner_jobs, cache, p_floor, specs),
-                    tag=config.seed,
-                )
-                for config in configs
-            ],
-            parent_span=span,
-        )
-        per_seed: List[List[TargetResult]] = outcome.results
+        per_seed = [_score_seed(config, p_floor, specs) for config in configs]
         report = FidelityReport.aggregate(
             config={"scale": scale, "sigma": sigma, "shards": shards},
             seeds=[config.seed for config in configs],

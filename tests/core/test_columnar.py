@@ -26,11 +26,7 @@ from repro.core.dataset import (
     TrainingSet,
     unknown_vectors,
 )
-from repro.core.evaluation import (
-    clear_rule_cache,
-    full_evaluation,
-    learn_rules,
-)
+from repro.core.evaluation import clear_rule_cache, learn_rules
 from repro.core.rules import Condition, Rule, RuleSet
 from repro.obs import metrics as obs_metrics
 
@@ -317,30 +313,6 @@ class TestRealDataEquivalence:
             [classifier.classify(row) for row in unknown_rows],
             classifier.classify_batch(unknown_rows),
         )
-
-
-class TestParallelFullEvaluation:
-    def test_jobs_is_an_execution_knob(self, small_session):
-        labeled = small_session.labeled
-        alexa = small_session.alexa
-        kwargs = dict(taus=(0.001,), train_months=(0, 1))
-        sequential = full_evaluation(labeled, alexa, jobs=1, **kwargs)
-        parallel = full_evaluation(labeled, alexa, jobs=2, **kwargs)
-        assert (
-            sequential.extraction_rows() == parallel.extraction_rows()
-        )
-        assert (
-            sequential.evaluation_rows() == parallel.evaluation_rows()
-        )
-        assert [run.unknown_decisions for run in sequential.runs] == [
-            run.unknown_decisions for run in parallel.runs
-        ]
-
-    def test_jobs_validation(self, small_session):
-        with pytest.raises(ValueError):
-            full_evaluation(
-                small_session.labeled, small_session.alexa, jobs=0
-            )
 
 
 class TestLearnRulesMemo:

@@ -70,6 +70,12 @@ class TestMonthPair:
                 medium_session.labeled, medium_session.alexa, 6
             )
 
+    @pytest.mark.parametrize("month", [-1, 7])
+    def test_learn_rules_rejects_months_outside_window(self, medium_session,
+                                                       month):
+        with pytest.raises(ValueError, match="month must be in"):
+            learn_rules(medium_session.labeled, medium_session.alexa, month)
+
 
 class TestFullEvaluation:
     @pytest.fixture(scope="class")
@@ -111,6 +117,27 @@ class TestFullEvaluation:
         with pytest.raises(ValueError, match="at least one tau"):
             full_evaluation(
                 medium_session.labeled, medium_session.alexa, taus=()
+            )
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(taus=(-1.0,)), "tau must be in"),
+        (dict(taus=(0.0, 1.5)), "tau must be in"),
+        (dict(train_months=(0, -1)), "no following test month"),
+        (dict(train_months=(0, 6)), "no following test month"),
+    ], ids=["tau-negative", "tau-above-one", "month-negative",
+            "month-without-test-month"])
+    def test_out_of_range_values_rejected_before_any_fit(
+        self, medium_session, monkeypatch, kwargs, message
+    ):
+        from repro.core import evaluation as evaluation_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a rule set was learned")
+
+        monkeypatch.setattr(evaluation_mod, "learn_rules", no_fit)
+        with pytest.raises(ValueError, match=message):
+            full_evaluation(
+                medium_session.labeled, medium_session.alexa, **kwargs
             )
 
 

@@ -18,10 +18,8 @@ from repro.synth.world import WorldConfig
 class TestBuild:
     def test_captures_config_and_digest(self):
         config = WorldConfig(seed=5, scale=0.003)
-        manifest = build_manifest("run", config=config, jobs=2,
-                                  wall_seconds=1.5)
+        manifest = build_manifest("run", config=config, wall_seconds=1.5)
         assert manifest.command == "run"
-        assert manifest.jobs == 2
         assert manifest.wall_seconds == 1.5
         assert manifest.config == dataclasses.asdict(config)
         assert manifest.config_digest == config_digest(config)
@@ -51,7 +49,7 @@ class TestRoundTrip:
         registry = MetricsRegistry()
         registry.counter("world.events_generated").inc(123)
         manifest = build_manifest(
-            "run", config=config, jobs=4, wall_seconds=2.25,
+            "run", config=config, wall_seconds=2.25,
             registry=registry,
         )
         path = manifest.write(tmp_path / "out" / "metrics.manifest.json")

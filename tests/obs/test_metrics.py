@@ -167,63 +167,6 @@ class TestExport:
         assert text.endswith("\n")
 
 
-class TestMergeRemote:
-    def _snapshot(self, registry):
-        return registry.snapshot()
-
-    def test_counters_sum(self):
-        local = MetricsRegistry()
-        remote = MetricsRegistry()
-        local.counter("hits").inc(10)
-        remote.counter("hits").inc(7)
-        remote.counter("remote.only").inc(2)
-        local.merge_remote(remote.snapshot())
-        assert local.counter("hits").value == 17
-        assert local.counter("remote.only").value == 2
-
-    def test_gauges_take_max(self):
-        local = MetricsRegistry()
-        remote = MetricsRegistry()
-        local.gauge("peak").set(100)
-        remote.gauge("peak").set(40)
-        local.merge_remote(remote.snapshot())
-        assert local.gauge("peak").value == 100
-        remote.gauge("peak").set(500)
-        local.merge_remote(remote.snapshot())
-        assert local.gauge("peak").value == 500
-
-    def test_histograms_merge_bucketwise(self):
-        local = MetricsRegistry()
-        remote = MetricsRegistry()
-        bounds = (1.0, 10.0)
-        local.histogram("lat", buckets=bounds).observe(0.5)
-        remote.histogram("lat", buckets=bounds).observe(5.0)
-        remote.histogram("lat", buckets=bounds).observe(0.1)
-        local.merge_remote(remote.snapshot())
-        snap = local.histogram("lat", buckets=bounds).snapshot()
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(5.6)
-        assert snap["min"] == pytest.approx(0.1)
-        assert snap["max"] == pytest.approx(5.0)
-        assert snap["buckets"] == {"1.0": 2, "10.0": 3}
-
-    def test_merge_into_empty_histogram_keeps_min_max(self):
-        local = MetricsRegistry()
-        remote = MetricsRegistry()
-        remote.histogram("lat", buckets=(1.0,)).observe(0.3)
-        local.histogram("lat", buckets=(1.0,))
-        local.merge_remote(remote.snapshot())
-        snap = local.histogram("lat", buckets=(1.0,)).snapshot()
-        assert snap["min"] == pytest.approx(0.3)
-        assert snap["max"] == pytest.approx(0.3)
-
-    def test_empty_snapshot_is_noop(self):
-        local = MetricsRegistry()
-        local.counter("hits").inc(1)
-        local.merge_remote({})
-        assert local.counter("hits").value == 1
-
-
 class TestThreadSafety:
     def test_concurrent_increments_all_land(self):
         registry = MetricsRegistry()

@@ -191,44 +191,6 @@ class TestResetAcrossThreads:
         assert threading.get_ident() in tracer._stacks
 
 
-class TestRemoteMerge:
-    def _payload(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("remote.root", shard=2):
-            with tracer.span("remote.child"):
-                pass
-        return tracer.to_dicts()
-
-    def test_from_dict_round_trips_shape(self):
-        payload = self._payload()[0]
-        rebuilt = trace.Span.from_dict(payload)
-        assert rebuilt.name == "remote.root"
-        assert rebuilt.attributes == {"shard": 2}
-        assert [c.name for c in rebuilt.children] == ["remote.child"]
-        assert rebuilt.duration == pytest.approx(payload["duration"])
-
-    def test_merge_grafts_under_parent_with_worker_tag(self):
-        payload = self._payload()
-        tracer = Tracer(enabled=True)
-        with tracer.span("fanout") as fan:
-            grafted = tracer.merge_remote(payload, parent=fan, worker=2)
-        assert [g.name for g in grafted] == ["remote.root"]
-        root = tracer.finished_spans()[0]
-        assert root.children[0].attributes["worker"] == 2
-
-    def test_merge_without_parent_lands_as_roots(self):
-        tracer = Tracer(enabled=True)
-        tracer.merge_remote(self._payload(), worker=0)
-        assert [r.name for r in tracer.finished_spans()] == ["remote.root"]
-
-    def test_existing_worker_attribute_wins(self):
-        payload = self._payload()
-        payload[0]["attributes"]["worker"] = "original"
-        tracer = Tracer(enabled=True)
-        tracer.merge_remote(payload, worker=7)
-        assert tracer.finished_spans()[0].attributes["worker"] == "original"
-
-
 class TestExportAndReset:
     def test_to_dicts_json_serializable(self):
         tracer = Tracer(enabled=True)

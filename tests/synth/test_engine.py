@@ -1,9 +1,8 @@
-"""Tests for the sharded parallel generation engine and the world cache.
+"""Tests for the sharded generation engine and the world cache.
 
 The contract under test: the filtered :class:`TelemetryDataset` (and the
 raw corpus beneath it) is a pure function of ``(seed, scale, shards)`` --
-identical across repeat runs, across ``jobs`` settings, and across
-cache-hit vs cache-miss paths.
+identical across repeat runs and across cache-hit vs cache-miss paths.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.obs import trace
+from repro.obs import metrics as obs_metrics
 from repro.synth import cache as world_cache
 from repro.synth.cache import clear_world_cache, config_digest, get_world
 from repro.synth.engine import (
@@ -52,50 +51,24 @@ class TestShardPlan:
             plan_shards(100, 0)
 
 
-def _generation_workers(config: WorldConfig, jobs: int) -> int:
-    """Worker count ``generate_world`` resolved, read off its trace."""
-    trace.reset()
-    trace.enable()
-    try:
-        generate_world(config, jobs=jobs)
-        root = trace.finished_spans()[-1]
-    finally:
-        trace.disable()
-        trace.reset()
-    assert root.name == "synth.generate_world"
-    return root.attributes["jobs"]
+class TestWorldJobsKeyword:
+    """``World`` keeps ``jobs`` as a keyword that accepts only 1."""
 
-
-class TestResolveJobs:
-    """World generation takes its worker count from the orchestrator."""
-
-    def test_clamped_to_shards(self):
-        config = WorldConfig(seed=13, scale=0.001, shards=2)
-        assert _generation_workers(config, jobs=64) == 2
-
-    def test_explicit_one(self):
-        assert _generation_workers(_CONFIG, jobs=1) == 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            generate_world(_CONFIG, jobs=0)
+    def test_other_values_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            World(_CONFIG, jobs=2)
 
 
 class TestShardedDeterminism:
     def test_two_runs_identical(self):
-        first = _dataset_digest(World(_CONFIG, jobs=1))
-        second = _dataset_digest(World(_CONFIG, jobs=1))
+        first = _dataset_digest(World(_CONFIG))
+        second = _dataset_digest(World(_CONFIG))
         assert first == second
 
-    def test_jobs_do_not_change_world(self):
-        sequential = _dataset_digest(World(_CONFIG, jobs=1))
-        parallel = _dataset_digest(World(_CONFIG, jobs=4))
-        assert sequential == parallel
-
     def test_shards_are_part_of_world_identity(self):
-        base = _dataset_digest(World(_CONFIG, jobs=1))
+        base = _dataset_digest(World(_CONFIG))
         other = _dataset_digest(
-            World(WorldConfig(seed=13, scale=0.002, shards=3), jobs=1)
+            World(WorldConfig(seed=13, scale=0.002, shards=3))
         )
         assert base != other
 
@@ -113,7 +86,7 @@ class TestShardedDeterminism:
         assert len(corpus.files) == len(seen)
 
     def test_merged_events_sorted(self):
-        _, corpus = generate_world(_CONFIG, jobs=1)
+        _, corpus = generate_world(_CONFIG)
         timestamps = [event.timestamp for event in corpus.events]
         assert timestamps == sorted(timestamps)
 
@@ -143,12 +116,12 @@ class TestConfigDigest:
 
 
 class TestValidatorInputEquivalence:
-    """The fidelity validator must be blind to parallelism artifacts.
+    """The fidelity validator must be blind to how a world was obtained.
 
-    Extends the ``content_digest`` equivalence guard to the new report
+    Extends the ``content_digest`` equivalence guard to the report
     output: for one config, the per-target fidelity results are
-    byte-identical whether the world came from the sequential path, the
-    parallel path, the session-cache hit, or a fresh rebuild.  Shard
+    byte-identical whether the world came from the session-cache hit or
+    a fresh rebuild.  Shard
     count is deliberately *not* in this list -- shards are part of the
     world's identity (digests differ, see
     ``test_shards_are_part_of_world_identity``), so the validator sees
@@ -164,21 +137,14 @@ class TestValidatorInputEquivalence:
         session = build_session(config, **kwargs)
         return [result.as_dict() for result in evaluate_session(session)]
 
-    def test_jobs_and_cache_paths_feed_validator_identically(self):
-        # cache=False forces real rebuilds, so the jobs knob actually
-        # exercises the sequential vs parallel generation paths.
-        sequential = self._report(_CONFIG, jobs=1, cache=False)
-        parallel = self._report(_CONFIG, jobs=4, cache=False)
+    def test_cache_paths_feed_validator_identically(self):
+        fresh = self._report(_CONFIG, cache=False)
         memoized = self._report(_CONFIG)  # session/world cache path
-        assert sequential == parallel == memoized
+        assert fresh == memoized
 
     def test_shard_counts_cover_the_same_targets(self):
-        single = self._report(
-            WorldConfig(seed=13, scale=0.002, shards=1), jobs=1
-        )
-        sharded = self._report(
-            WorldConfig(seed=13, scale=0.002, shards=4), jobs=1
-        )
+        single = self._report(WorldConfig(seed=13, scale=0.002, shards=1))
+        sharded = self._report(WorldConfig(seed=13, scale=0.002, shards=4))
         assert [r["name"] for r in single] == [r["name"] for r in sharded]
         assert [r["tolerance"] for r in single] == [
             r["tolerance"] for r in sharded
@@ -247,3 +213,32 @@ class TestWorldCache:
         assert (
             tmp_path / f"world-{digest}-{world_cache.WORLD_LAYOUT}.pkl"
         ).is_file()
+
+    @pytest.mark.parametrize("entry", ["foreign object", "other config"])
+    def test_unusable_entry_is_counted_and_overwritten(
+        self, tmp_path, monkeypatch, entry
+    ):
+        # Only a World of the requested config may be served: a foreign
+        # object or another config's world at the entry path is counted
+        # in cache.corrupt, regenerated and overwritten.
+        monkeypatch.setenv(world_cache.CACHE_DIR_ENV, str(tmp_path))
+        clear_world_cache()
+        path = tmp_path / (
+            f"world-{config_digest(_CONFIG)}-{world_cache.WORLD_LAYOUT}.pkl"
+        )
+        if entry == "foreign object":
+            payload = {"not": "a world"}
+        else:
+            payload = get_world(
+                WorldConfig(seed=14, scale=0.001), cache=False
+            )
+        path.write_bytes(pickle.dumps(payload))
+        corrupt = obs_metrics.counter("cache.corrupt")
+        before = corrupt.value
+        world = get_world(_CONFIG)
+        assert isinstance(world, World)
+        assert world.config == _CONFIG
+        assert corrupt.value == before + 1
+        stored = pickle.loads(path.read_bytes())
+        assert isinstance(stored, World)
+        assert stored.config == _CONFIG

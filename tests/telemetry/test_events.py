@@ -113,8 +113,8 @@ class TestRecords:
 
 class TestSlottedRows:
     """A world holds these rows by the tens of thousands, so they carry
-    no per-instance ``__dict__``; the ``jobs>1`` shard path pickles
-    them, and dataset digests are built from their ``repr``."""
+    no per-instance ``__dict__``; the on-disk world cache pickles them,
+    and dataset digests are built from their ``repr``."""
 
     ROWS = [
         DownloadEvent("a" * 40, "M1", "b" * 40, "http://dl.example.com/x.exe",

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro import sched
 from repro.cli import build_parser, main
 from repro.telemetry.store import load_dataset
 
@@ -46,6 +49,24 @@ class TestParser:
 
     def test_evaluate_tau_defaults_to_none(self):
         assert build_parser().parse_args(["evaluate"]).tau is None
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["validate", "--p-floor", "-1"], "--p-floor"),
+        (["validate", "--quantile", "1.5"], "--quantile"),
+        (["validate", "--quantile", "-0.5"], "--quantile"),
+        (["rules", "--train-month", "-1"], "--train-month"),
+        (["rules", "--train-month", "7"], "--train-month"),
+        (["evaluate", "--tau", "-1"], "--tau"),
+        (["validate", "--no-cache"], "--no-cache"),
+    ], ids=["p-floor-negative", "quantile-above-one", "quantile-negative",
+            "train-month-negative", "train-month-past-july",
+            "tau-negative", "validate-no-cache"])
+    def test_out_of_range_value_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert flag in error
 
 
 class TestExportImport:
@@ -258,33 +279,52 @@ class TestRun:
         assert "# TYPE" in text
         assert "labeler_files_labeled_total" in text
 
-    def test_pooled_run_merges_both_fanouts(self, tmp_path, capsys):
-        # The acceptance shape for the cross-process tracer: one merged
-        # span tree holding worker-tagged spans from BOTH pool sites
-        # (shard generation and month-pair evaluation), under a memory
-        # budget, resource accounting and the sampling profiler.
+    def test_profiled_run_traces_every_shard_and_month_pair(
+        self, tmp_path, capsys
+    ):
+        # One span tree holds both generation shards and all six month
+        # pairs, with resource accounting, under the sampling profiler.
         collapsed = tmp_path / "run.collapsed"
         assert main(
             ["profile", "--out", str(collapsed),
              "run", *SCALE, "--no-cache", "--trace", "--resources",
-             "--shards", "2", "--jobs", "2", "--memory-budget-mb", "64"]
+             "--shards", "2"]
         ) == 0
         captured = capsys.readouterr()
         tree = captured.out.split("# trace", 1)[1]
+        roots = [line.split()[0] for line in tree.splitlines()
+                 if line and not line.startswith(" ")]
+        assert roots == ["pipeline.build_session", "core.learn_rules",
+                         "core.full_evaluation"]
         shard_lines = [line for line in tree.splitlines()
-                       if "synth.shard" in line]
+                       if "synth.shard " in line]
         pair_lines = [line for line in tree.splitlines()
                       if "core.evaluate_month_pair" in line]
-        assert len(shard_lines) == 2
+        assert [re.search(r"shard=(\d+)", line).group(1)
+                for line in shard_lines] == ["0", "1"]
         assert len(pair_lines) == 6
-        assert all("worker=" in line for line in shard_lines)
-        assert all("worker=" in line for line in pair_lines)
-        assert "sched_workers=" in tree
         assert "rss_peak_kb=" in tree
         assert collapsed.read_text().strip()
         assert "# profile (top self-time)" in captured.err
-        # The ceiling --memory-budget-mb installed is gone after the run.
-        assert sched.set_memory_budget(None) is None
+
+    def test_run_imports_no_process_pool(self):
+        # Every stage runs in-process: a whole run never imports the
+        # process-pool modules.
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "status = main(['run', '--scale', '0.002', '--no-cache'])\n"
+            "print(status, 'multiprocessing' in sys.modules,\n"
+            "      'concurrent.futures' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestStats:

@@ -41,7 +41,8 @@ for rule in persistent_rules([month(3), month(10)]):
     print(rule.render())
 """
 
-CORPUS = ["--scale", "0.003", "--seed", "7", "--no-cache", "--jobs", "1"]
+WORLD = ["--scale", "0.003", "--seed", "7"]
+CORPUS = [*WORLD, "--no-cache"]
 
 
 def _run(args, hash_seed: int, cwd: Path):
@@ -81,7 +82,8 @@ def _file_digests(directory: Path):
                     "labels.jsonl"}}),
         # Exit status 1 is the fidelity verdict, not an error: at this
         # scale some targets fail.
-        (["-m", "repro.cli", "validate", "--seeds", "1", *CORPUS],
+        # validate builds every seed's world uncached: no --no-cache.
+        (["-m", "repro.cli", "validate", "--seeds", "1", *WORLD],
          b"overall:", {0, 1}, {}),
     ],
     ids=["persistent_rules", "report_all", "evaluate", "export", "validate"],

@@ -1,15 +1,17 @@
 """Seed-sweep runner, CLI surface, and the opt-in full fidelity gate.
 
-The tier-1 tests here reuse the session-scoped small world (the sweep
-configs below hit the ``build_session`` memo, so no extra worlds are
-generated).  The full acceptance sweep -- three seeds at scale 0.02 --
-is marked ``fidelity`` and deselected by default; run it with
+The tier-1 sweeps here use the small world's config (scale 0.005,
+seed 11); a sweep builds each seed's world uncached, so every sweep
+regenerates it.  The full acceptance sweep -- three seeds at scale 0.02
+-- is marked ``fidelity`` and deselected by default; run it with
 ``pytest -m fidelity``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -64,38 +66,61 @@ class TestSmallSweep:
             pytest.approx(counts["pass"] / evaluated)
         )
 
-    def test_execution_knobs_do_not_change_report(self, small_session):
-        # jobs and the cache path are execution details; the report is a
-        # pure function of (scale, seeds, sigma, shards).
-        baseline = run_seed_sweep(**SMALL)
-        rerun = run_seed_sweep(**SMALL, jobs=2)
-        assert rerun.to_dict() == baseline.to_dict()
-
-
-class TestParallelSweep:
-    """Seeds fanned out over the orchestrator: byte-identical reports."""
-
-    SWEEP = dict(scale=0.004, seeds=2, base_seed=31, shards=2)
-
-    def test_concurrent_seeds_byte_identical_report(self):
-        from repro.pipeline import clear_all_caches
-
-        clear_all_caches()
-        baseline = run_seed_sweep(**self.SWEEP, jobs=1, cache=False)
-
-        clear_all_caches()
-        parallel_before = obs_metrics.counter("sched.tasks_parallel").value
-        concurrent = run_seed_sweep(**self.SWEEP, jobs=2, cache=False)
-        parallel_delta = (
-            obs_metrics.counter("sched.tasks_parallel").value
-            - parallel_before
+    def test_rerun_gives_identical_report(self):
+        # Every sweep regenerates its worlds, so two sweeps compare two
+        # independent builds: the report is a pure function of (scale,
+        # seeds, sigma, shards).
+        assert run_seed_sweep(**SMALL).to_dict() == (
+            run_seed_sweep(**SMALL).to_dict()
         )
 
-        assert concurrent.to_json() == baseline.to_json()
-        # In environments where process pools work, the two seed workers
-        # must actually have run through the parallel path.
-        if parallel_delta:
-            assert parallel_delta >= 2
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(p_floor=-1.0), "p_floor must be in"),
+        (dict(p_floor=0.0), "p_floor must be in"),
+        (dict(p_floor=1.5), "p_floor must be in"),
+        (dict(quantile=-0.5), "quantile must be in"),
+        (dict(quantile=1.5), "quantile must be in"),
+    ], ids=["p-floor-negative", "p-floor-zero", "p-floor-above-one",
+            "quantile-negative", "quantile-above-one"])
+    def test_out_of_range_values_rejected_before_any_world(
+        self, monkeypatch, kwargs, message
+    ):
+        from repro import pipeline
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(pipeline, "build_session", no_build)
+        with pytest.raises(ValueError, match=message):
+            run_seed_sweep(**SMALL, **kwargs)
+
+
+class TestSweepMemory:
+    """A sweep holds one seed's session at a time and keeps none."""
+
+    def test_no_seed_session_outlives_its_seed(self, monkeypatch):
+        from repro import pipeline
+
+        built = []
+        real_build = pipeline.build_session
+
+        def recording_build(config, **kwargs):
+            # Every earlier seed's session must be garbage by the time
+            # the next one is built.
+            gc.collect()
+            assert all(ref() is None for ref in built)
+            session = real_build(config, **kwargs)
+            built.extend([weakref.ref(session), weakref.ref(session.world)])
+            return session
+
+        monkeypatch.setattr(pipeline, "build_session", recording_build)
+        run_seed_sweep(scale=0.002, seeds=2, base_seed=31, shards=2)
+        gc.collect()
+        assert len(built) == 4
+        assert all(ref() is None for ref in built)
+        configs = sweep_configs(scale=0.002, seeds=2, base_seed=31, shards=2)
+        memoized = {session.config for session in pipeline._SESSIONS.values()}
+        assert not memoized & set(configs)
 
 
 class TestPipelineHook:
